@@ -2,6 +2,7 @@ package mcheck
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/papernets"
@@ -22,7 +23,6 @@ func backendParityConfigs() []struct {
 		name string
 		cfg  VisitedConfig
 	}{
-		{"mem-batched", VisitedConfig{Backend: VisitedMem, CompressFrontier: true}},
 		{"bitstate", VisitedConfig{Backend: VisitedBitstate, BloomBits: 1 << 16}},
 		{"spill", VisitedConfig{Backend: VisitedSpill, MemBudget: 1}},
 	}
@@ -30,8 +30,7 @@ func backendParityConfigs() []struct {
 
 // TestVisitedBackendParity is the exactness contract of the pluggable
 // visited layer: for every scenario, every backend — bitstate prefilter,
-// disk-spilling shards, compressed frontier batching — and every worker
-// count, the verdict, state count, retained-encoding count and (for
+// disk-spilling shards — and every worker count, the verdict, state count, retained-encoding count and (for
 // deadlocks) the full witness must be byte-identical to the in-memory
 // reference. CI runs the gen3 subtest under -race as the parity smoke.
 func TestVisitedBackendParity(t *testing.T) {
@@ -123,16 +122,74 @@ func TestVisitedBackendReported(t *testing.T) {
 }
 
 // TestLivenessBackendParity: the DFS liveness engine shares the visited
-// layer; its verdicts must not depend on the backend either.
+// layer; on every parity scenario each backend must reproduce the mem
+// backend's verdict, state count and retained encodings. The stores keep
+// the bytes insert is given, so the one-byte spill budget pins that
+// liveness hands them owned copies. CI runs it under -race.
 func TestLivenessBackendParity(t *testing.T) {
-	for _, bc := range backendParityConfigs() {
-		sc := ringScenario(2)
-		ref := SearchLiveness(sc, SearchOptions{})
-		opts := SearchOptions{Visited: bc.cfg}
-		res := SearchLiveness(sc, opts)
-		if res.Verdict != ref.Verdict || res.States != ref.States || res.PeakVisited != ref.PeakVisited {
-			t.Fatalf("%s: liveness %v/%d/%d != reference %v/%d/%d", bc.name,
-				res.Verdict, res.States, res.PeakVisited, ref.Verdict, ref.States, ref.PeakVisited)
+	for _, tc := range parityCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.heavy && testing.Short() {
+				t.Skip("heavy parity case; run without -short")
+			}
+			ref := SearchLiveness(tc.sc, tc.opts)
+			for _, bc := range backendParityConfigs() {
+				opts := tc.opts
+				opts.Visited = bc.cfg
+				res := SearchLiveness(tc.sc, opts)
+				if res.Verdict != ref.Verdict || res.States != ref.States || res.PeakVisited != ref.PeakVisited {
+					t.Fatalf("%s: liveness %v/%d/%d != mem %v/%d/%d", bc.name,
+						res.Verdict, res.States, res.PeakVisited, ref.Verdict, ref.States, ref.PeakVisited)
+				}
+			}
+		})
+	}
+}
+
+// TestReducedBatchParity: symmetry-reduced searches carry the states'
+// own encodings in the frontier batch and key the visited set by the
+// canonical ones. With every reduction on, one and three workers must
+// agree on the verdict, state count, witness trace and Definition 6
+// cycle, and the witness must replay.
+func TestReducedBatchParity(t *testing.T) {
+	for _, tc := range parityCases() {
+		if tc.name != "gen3" && !strings.HasPrefix(tc.name, "figure3") {
+			continue
 		}
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.heavy && testing.Short() {
+				t.Skip("heavy parity case; run without -short")
+			}
+			var ref SearchResult
+			for _, workers := range []int{1, 3} {
+				opts := tc.opts
+				opts.Parallelism = workers
+				opts.Reduction = RedAll
+				res := Search(tc.sc, opts)
+				if workers == 1 {
+					ref = res
+					if res.Verdict == VerdictDeadlock {
+						if err := waitfor.Verify(Replay(tc.sc, res.Trace), res.Deadlock); err != nil {
+							t.Fatalf("replayed witness invalid: %v", err)
+						}
+					}
+					continue
+				}
+				if res.Verdict != ref.Verdict || res.States != ref.States {
+					t.Fatalf("workers=%d: (%v, %d states) != one worker (%v, %d states)",
+						workers, res.Verdict, res.States, ref.Verdict, ref.States)
+				}
+				if ref.Verdict != VerdictDeadlock {
+					continue
+				}
+				if !reflect.DeepEqual(res.Trace, ref.Trace) {
+					t.Fatalf("workers=%d: witness trace differs from one worker", workers)
+				}
+				if !reflect.DeepEqual(res.Deadlock.Cycle, ref.Deadlock.Cycle) {
+					t.Fatalf("workers=%d: deadlock cycle %v != one worker %v",
+						workers, res.Deadlock.Cycle, ref.Deadlock.Cycle)
+				}
+			}
+		})
 	}
 }

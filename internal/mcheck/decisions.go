@@ -10,9 +10,10 @@ import (
 // subset of held messages to activate, every subset of movable in-flight
 // messages to freeze (bounded by the stall budget), every adaptive
 // candidate selection, and every arbitration outcome. All intermediate
-// storage — the probe simulator, subset slices, mask/pick maps — is owned
-// by the enumerator and reused across calls, so enumeration allocates only
-// what the simulator's own query methods allocate.
+// storage — the probe simulator, subset slices, mask/pick maps and the
+// yielded Decision itself — is owned by the enumerator and reused across
+// calls, so enumeration allocates only what the simulator's own query
+// methods allocate.
 //
 // The enumeration order is canonical and load-bearing: the search engine
 // identifies a decision by its ordinal (the provenance arena stores
@@ -41,6 +42,8 @@ type decisionEnum struct {
 
 	pickDigits []int
 	picks      map[topology.ChannelID]int
+
+	dec Decision // the yielded decision, reused for every call to fn
 }
 
 // newDecisionEnum returns an enumerator whose probe is a clone of proto;
@@ -326,8 +329,8 @@ func (e *decisionEnum) pickLoop(cons []sim.Contention, masks map[int]topology.Ch
 				e.stats.pickSkips++
 			}
 		} else {
-			d := Decision{Activate: e.act, Freeze: e.frz, Masks: masks, Picks: picks}
-			if !fn(&d) {
+			e.dec = Decision{Activate: e.act, Freeze: e.frz, Masks: masks, Picks: picks}
+			if !fn(&e.dec) {
 				return false
 			}
 		}

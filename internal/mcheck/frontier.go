@@ -5,20 +5,22 @@ import (
 	"fmt"
 )
 
-// Compressed frontier batching: instead of carrying a BFS level as a
-// slice of live simulators (each a full heap object), the batched engine
-// path carries it as one contiguous byte buffer of delta-encoded state
-// encodings, decoded back into a worker-local simulator at expansion
-// time. Neighbouring frontier entries are siblings or cousins in the
-// state graph and share long encoding prefixes, so varint prefix
-// compression against the previous entry shrinks a level far below the
-// sum of its encodings — and the frontier stops being the memory ceiling
-// that defeats an out-of-core visited set.
+// Compressed frontier batching: Search carries every BFS level as one
+// contiguous byte buffer of delta-encoded state encodings, decoded back
+// into a worker-local simulator at expansion time, instead of as a slice
+// of live simulators (each a full heap object). Neighbouring frontier
+// entries are siblings or cousins in the state graph and share long
+// encoding prefixes, so varint prefix compression against the previous
+// entry shrinks a level far below the sum of its encodings — and the
+// frontier stops being the memory ceiling that defeats an out-of-core
+// visited set. Entries are the states' own EncodeTo bytes, never their
+// canonical representatives: under symmetry reduction only the visited
+// set is keyed canonically.
 //
 // Entries are stored in INSERTION order, never sorted: the merge iterates
-// a batch exactly as it iterated the simulator slice, so acceptance
-// order, provenance and witnesses stay byte-identical to the unbatched
-// engine. (Only spill run files sort; a frontier must not.)
+// a batch in exactly the order a sequential FIFO queue would dequeue, so
+// acceptance order, provenance and witnesses are independent of the
+// worker count. (Only spill run files sort; a frontier must not.)
 //
 // Entry format, uvarints throughout:
 //

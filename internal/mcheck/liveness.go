@@ -59,16 +59,29 @@ func SearchLiveness(sc sim.Scenario, opts SearchOptions) SearchResult {
 	cfg := enumConfig{inTransitOnly: opts.FreezeInTransitOnly, maskAll: true}
 
 	root := newHeldSim(sc)
-	// The DFS carries its stack as live simulators, so frontier batching
-	// does not apply; the visited backend (including spill) still does.
-	opts.Visited.CompressFrontier = false
+	// Unlike Search's encoded frontier, the DFS carries its stack as live
+	// simulators, recycled through a free list; the visited backend
+	// (including spill) is shared with Search.
 	eng := newEngine(opts, cfg, nil, root, 1)
 	defer eng.visited.close()
 	w := eng.workers[0]
+	var free []*sim.Sim
+	getSim := func(src *sim.Sim) *sim.Sim {
+		if n := len(free); n > 0 {
+			s := free[n-1]
+			free = free[:n-1]
+			s.CopyFrom(src)
+			return s
+		}
+		return src.Clone()
+	}
+	putSim := func(s *sim.Sim) { free = append(free, s) }
 
+	// The visited store keeps the slice insert is given, so every insert
+	// passes an owned copy, never encBuf itself.
 	var encBuf []byte
 	root.EncodeTo(&encBuf)
-	eng.visited.insert(eng.visited.hash(encBuf), encBuf, opts.StallBudget)
+	eng.visited.insert(eng.visited.hash(encBuf), bytes.Clone(encBuf), opts.StallBudget)
 
 	nodes := []provNode{{parent: -1, dec: -1}}
 	states := 1
@@ -148,7 +161,7 @@ func SearchLiveness(sc sim.Scenario, opts SearchOptions) SearchResult {
 		f := &frames[len(frames)-1]
 		if f.next >= len(f.decs) {
 			delete(onStack, f.key)
-			eng.putSim(f.s)
+			putSim(f.s)
 			frames = frames[:len(frames)-1]
 			continue
 		}
@@ -156,7 +169,7 @@ func SearchLiveness(sc sim.Scenario, opts SearchOptions) SearchResult {
 		ord := int32(f.next)
 		f.next++
 
-		succ := eng.getSim(f.s)
+		succ := getSim(f.s)
 		apply(succ, d)
 		succ.StepWithPicks(d.Picks)
 		newBudget := f.budget - len(d.Freeze)
@@ -178,7 +191,6 @@ func SearchLiveness(sc sim.Scenario, opts SearchOptions) SearchResult {
 					Loop:    append(append([]Decision(nil), trace[fi:]...), d),
 					Starved: starved,
 				}
-				eng.putSim(succ)
 				return finish(SearchResult{
 					Verdict: VerdictLivelock,
 					States:  states,
@@ -186,29 +198,28 @@ func SearchLiveness(sc sim.Scenario, opts SearchOptions) SearchResult {
 					Lasso:   lasso,
 				})
 			}
-			eng.putSim(succ)
+			putSim(succ)
 			continue
 		}
 
 		h := eng.visited.hash(encBuf)
-		if !eng.visited.insert(h, encBuf, newBudget) {
+		if !eng.visited.insert(h, bytes.Clone(encBuf), newBudget) {
 			// Already explored at this budget or better. A cycle through a
 			// completed state would have been found when that state was on
 			// the stack: loops spend no budget, so every loop decision was
 			// already available at the recorded (≥) budget.
-			eng.putSim(succ)
+			putSim(succ)
 			continue
 		}
 		states++
 		if states > opts.MaxStates {
-			eng.putSim(succ)
 			return finish(SearchResult{Verdict: VerdictExhausted, States: states})
 		}
 		nodes = append(nodes, provNode{parent: f.node, dec: ord})
 		node := int32(len(nodes) - 1)
 
 		if succ.AllDelivered() {
-			eng.putSim(succ)
+			putSim(succ)
 			continue
 		}
 		if ld := waitfor.FindLocal(succ); ld != nil {
@@ -222,14 +233,12 @@ func SearchLiveness(sc sim.Scenario, opts SearchOptions) SearchResult {
 				// be delivered: the deadlock is global.
 				r.Verdict = VerdictDeadlock
 			}
-			eng.putSim(succ)
 			return finish(r)
 		}
 		if w.deadlocked(succ) {
 			trace := rebuildTrace(sc, nodes, node, opts, cfg)
 			r := SearchResult{Verdict: VerdictDeadlock, States: states,
 				Trace: trace, Deadlock: waitfor.Find(succ)}
-			eng.putSim(succ)
 			return finish(r)
 		}
 

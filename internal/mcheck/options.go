@@ -35,8 +35,8 @@ const (
 	VisitedBitstate
 	// VisitedSpill bounds resident memory: shards that outgrow their byte
 	// budget spill sorted, prefix-compressed runs to disk and are probed
-	// there via fence indexes. Combine with CompressFrontier (forced on)
-	// for a search whose resident set no longer scales with state count.
+	// there via fence indexes. With Search's encoded frontier batches, the
+	// resident set no longer scales with state count.
 	VisitedSpill
 )
 
@@ -78,26 +78,15 @@ type VisitedConfig struct {
 	// SpillDir is the parent directory for the spill backend's private
 	// run-file directory. "" means the system temp directory.
 	SpillDir string
-	// CompressFrontier carries BFS frontiers as delta-encoded batches of
-	// binary state encodings instead of live simulators, decoding each
-	// entry in the workers. Forced on for the spill backend (otherwise the
-	// frontier, not the visited set, is the memory ceiling) and forced off
-	// when symmetry reduction runs (canonical encodings decode to permuted
-	// representatives, which would change the traversal).
-	CompressFrontier bool
 }
 
-// normalizeVisitedConfig resolves the defaulted fields and the
-// backend-forced batching choice.
+// normalizeVisitedConfig resolves the defaulted fields.
 func normalizeVisitedConfig(cfg VisitedConfig) VisitedConfig {
 	if cfg.MemBudget <= 0 {
 		cfg.MemBudget = DefaultVisitedMemBudget
 	}
 	if cfg.BloomBits <= 0 {
 		cfg.BloomBits = DefaultBloomBits
-	}
-	if cfg.Backend == VisitedSpill {
-		cfg.CompressFrontier = true
 	}
 	return cfg
 }

@@ -24,16 +24,18 @@
 // traces so tests can validate witnesses independently.
 //
 // Search is parallel but exactly deterministic: frontier expansion — the
-// expensive part, cloning and stepping the simulator once per decision —
-// fans out across a worker pool level by level, while all bookkeeping that
-// the verdict depends on (visited insertion, state counting, provenance,
-// deadlock detection order) happens in a single-threaded merge that
-// processes the level in the same order a sequential FIFO queue would.
+// expensive part, decoding each frontier state and stepping a scratch
+// copy of it once per decision — fans out across a worker pool level by
+// level, while all bookkeeping that the verdict depends on (visited
+// insertion, state counting, provenance, deadlock detection order)
+// happens in a single-threaded merge that processes the level in the
+// same order a sequential FIFO queue would.
 // Verdicts, state counts and witness traces are therefore byte-identical
 // across any worker count, including 1.
 package mcheck
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -123,8 +125,8 @@ type SearchOptions struct {
 	Parallelism int
 	// Visited configures the visited-set backend: the in-memory reference
 	// (default), the Bloom-prefiltered bitstate mode, or the disk-spilling
-	// out-of-core mode, plus compressed frontier batching. Every backend
-	// is exact; verdicts, state counts and witnesses do not depend on it.
+	// out-of-core mode. Every backend is exact; verdicts, state counts and
+	// witnesses do not depend on it.
 	Visited VisitedConfig
 	// Reduction selects verdict-preserving state-space reductions
 	// (partial-order and/or symmetry). The zero value explores the full
@@ -239,21 +241,30 @@ type provNode struct {
 	dec    int32 // decision ordinal within the parent's enumeration
 }
 
-// frontierEntry is one state of the current BFS level.
-type frontierEntry struct {
-	s      *sim.Sim
-	budget int
-	node   int32 // provenance arena index
-}
-
 // succState is a successor produced during parallel expansion, waiting for
-// the deterministic merge to accept or discard it.
+// the deterministic merge to accept or discard it. enc holds the state's
+// visited key, its first split bytes; under symmetry reduction, when the
+// canonical key differs from the state's own encoding, the raw EncodeTo
+// bytes the frontier must carry follow it in the same allocation.
 type succState struct {
-	s      *sim.Sim
 	enc    []byte
-	hash   uint64
+	hash   uint64 // digest of the visited key
 	budget int
 	dec    int32
+	split  int32
+}
+
+// key returns the visited-set key: the canonical encoding under symmetry
+// reduction, the plain encoding otherwise.
+func (su *succState) key() []byte { return su.enc[:su.split:su.split] }
+
+// raw returns the encoding the frontier carries, which decodes back to
+// the very state the decision produced.
+func (su *succState) raw() []byte {
+	if int(su.split) == len(su.enc) {
+		return su.enc
+	}
+	return su.enc[su.split:]
 }
 
 // expandResult is everything the merge needs to know about one frontier
@@ -271,8 +282,6 @@ type engine struct {
 	cfg     enumConfig        // enumeration variant; shared with rebuildTrace
 	perms   []sim.Permutation // scenario symmetries; empty = plain encoding
 	visited visitedStore
-	batched bool      // frontiers travel as encoded batches, not live sims
-	pool    sync.Pool // recycled *sim.Sim successors
 	workers []*searchWorker
 
 	shardBuf []int        // reused shard-size buffer for the metrics path
@@ -283,12 +292,15 @@ type engine struct {
 type searchWorker struct {
 	eng      *engine
 	enum     *decisionEnum
-	probe    *sim.Sim // deadlock-check scratch
-	curSim   *sim.Sim // batch-entry decode scratch (batched mode only)
+	probe    *sim.Sim    // deadlock-check scratch
+	cur      *sim.Sim    // the frontier entry being expanded, decoded
+	next     *sim.Sim    // successor scratch, reset from cur per decision
+	succs    []succState // this level's successors; results slice into it
 	encBuf   []byte
+	rawBuf   []byte // raw-encoding scratch (symmetry reduction)
 	canonBuf []byte // canonical-encoding scratch (symmetry reduction)
 
-	stats      enumStats // pre-clone pruning counters, summed at finish
+	stats      enumStats // pre-step pruning counters, summed at finish
 	postPruned int64     // post-step futile-activation discards
 }
 
@@ -298,7 +310,6 @@ func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root
 		cfg:     cfg,
 		perms:   perms,
 		visited: newVisitedStore(opts.Visited),
-		batched: opts.Visited.CompressFrontier,
 	}
 	eng.workers = make([]*searchWorker, workers)
 	for i := range eng.workers {
@@ -306,9 +317,8 @@ func newEngine(opts SearchOptions, cfg enumConfig, perms []sim.Permutation, root
 			eng:   eng,
 			enum:  newDecisionEnum(root),
 			probe: root.Clone(),
-		}
-		if eng.batched {
-			eng.workers[i].curSim = root.Clone()
+			cur:   root.Clone(),
+			next:  root.Clone(),
 		}
 	}
 	return eng
@@ -324,58 +334,48 @@ func (eng *engine) fillVisited(p *ProgressInfo) {
 	p.BloomFPRate = eng.vstats.BloomFPRate
 }
 
-// getSim returns a pooled simulator holding a deep copy of src.
-func (eng *engine) getSim(src *sim.Sim) *sim.Sim {
-	if v := eng.pool.Get(); v != nil {
-		s := v.(*sim.Sim)
-		s.CopyFrom(src)
-		return s
-	}
-	return src.Clone()
-}
-
-func (eng *engine) putSim(s *sim.Sim) { eng.pool.Put(s) }
-
-// expand computes one frontier entry's fate. It runs concurrently with
-// other expands but touches only worker-local scratch, the sim pool, and
-// lock-shared visited reads, so it is safe and — because the visited set
-// is frozen during expansion (insertions happen only in the merge) — its
-// result is independent of scheduling.
-func (w *searchWorker) expand(cur *frontierEntry) expandResult {
+// expand computes the fate of the frontier state decoded into w.cur. It
+// runs concurrently with other expands but touches only worker-local
+// scratch and lock-shared visited reads, so it is safe and — because the
+// visited set is frozen during expansion (insertions happen only in the
+// merge) — its result is independent of scheduling.
+func (w *searchWorker) expand(budget int) expandResult {
 	var r expandResult
-	if cur.s.AllDelivered() {
+	cur, next := w.cur, w.next
+	if cur.AllDelivered() {
 		r.delivered = true
 		return r
 	}
-	if w.deadlocked(cur.s) {
+	if w.deadlocked(cur) {
 		r.deadlocked = true
 		return r
 	}
+	symmetric := len(w.eng.perms) > 0
+	mark := len(w.succs)
 	dec := int32(-1)
-	w.enum.forEach(cur.s, cur.budget, w.eng.cfg, &w.stats, func(d *Decision) bool {
+	w.enum.forEach(cur, budget, w.eng.cfg, &w.stats, func(d *Decision) bool {
 		dec++
-		next := w.eng.getSim(cur.s)
+		next.CopyFrom(cur)
 		apply(next, *d)
 		next.StepWithPicks(d.Picks)
 		// Post-step backstop for partial-order reduction: an activation
 		// that failed to inject (message neither in network nor delivered
 		// after the step) produced a state dominated by the same decision
 		// without it — identical except the held bit, with the held
-		// variant keeping strictly more adversary power. The pre-clone
+		// variant keeping strictly more adversary power. The pre-step
 		// filters catch almost all of these; this catches the rest. It
 		// fires after dec++, so provenance ordinals are unaffected.
 		if w.eng.cfg.por {
 			for _, id := range d.Activate {
 				if !next.InNetwork(id) && !next.Delivered(id) {
 					w.postPruned++
-					w.eng.putSim(next)
 					return true
 				}
 			}
 		}
-		newBudget := cur.budget - len(d.Freeze)
+		newBudget := budget - len(d.Freeze)
 		w.encBuf = w.encBuf[:0]
-		if len(w.eng.perms) > 0 {
+		if symmetric {
 			next.CanonicalEncodeTo(w.eng.perms, &w.encBuf, &w.canonBuf)
 		} else {
 			next.EncodeTo(&w.encBuf)
@@ -386,44 +386,53 @@ func (w *searchWorker) expand(cur *frontierEntry) expandResult {
 		// recorded there can only increase, never making a rejected
 		// (encoding, budget) pair novel again.
 		if !w.eng.visited.novel(h, w.encBuf, newBudget) {
-			w.eng.putSim(next)
 			return true
 		}
-		enc := append([]byte(nil), w.encBuf...)
-		if w.eng.batched {
-			// Batched mode keeps only the encoding: the merge re-encodes
-			// accepted successors into the next level's batch, so the live
-			// simulator can be recycled immediately.
-			w.eng.putSim(next)
-			next = nil
+		// The frontier carries the state itself, not its canonical
+		// representative: decoding a permuted representative would change
+		// the traversal. The raw bytes ride behind the key only when the
+		// two differ.
+		var raw []byte
+		if symmetric {
+			w.rawBuf = w.rawBuf[:0]
+			next.EncodeTo(&w.rawBuf)
+			if !bytes.Equal(w.rawBuf, w.encBuf) {
+				raw = w.rawBuf
+			}
 		}
-		r.succs = append(r.succs, succState{s: next, enc: enc, hash: h, budget: newBudget, dec: dec})
+		enc := make([]byte, len(w.encBuf), len(w.encBuf)+len(raw))
+		copy(enc, w.encBuf)
+		enc = append(enc, raw...)
+		w.succs = append(w.succs, succState{enc: enc, hash: h, budget: newBudget, dec: dec, split: int32(len(w.encBuf))})
 		return true
 	})
+	r.succs = w.succs[mark:len(w.succs):len(w.succs)]
 	return r
 }
 
-// expandBatch is expandLevel for an encoded frontier: workers claim
-// restart blocks, decode each entry into their scratch simulator and
-// expand it in place. Results land at the entry's batch index, so the
-// merge consumes them in exactly the order an unbatched frontier slice
-// would have.
+// expandBatch fans an encoded level out across the workers: each claims
+// restart blocks, decodes every entry into its scratch simulator and
+// expands it in place. Results land at the entry's batch index, so the
+// merge consumes them in batch order. With one worker or a one-block
+// level it stays on the calling goroutine.
 func (eng *engine) expandBatch(batch *frontierBatch, results []expandResult) {
-	nw := len(eng.workers)
-	if nw > batch.blocks() {
-		nw = batch.blocks()
+	// The previous level's results are merged, so its successors are dead.
+	for _, w := range eng.workers {
+		w.succs = w.succs[:0]
 	}
-	if nw <= 1 {
-		w := eng.workers[0]
-		var it batchIter
-		it.seekAll(batch)
+	expandBlocks := func(w *searchWorker, it *batchIter) {
 		for it.next() {
-			if err := w.curSim.DecodeFrom(it.cur); err != nil {
+			if err := w.cur.DecodeFrom(it.cur); err != nil {
 				panic(fmt.Sprintf("mcheck: internal error: frontier entry does not decode: %v", err))
 			}
-			cur := frontierEntry{s: w.curSim, budget: it.budget, node: it.node}
-			results[it.idx-1] = w.expand(&cur)
+			results[it.idx-1] = w.expand(it.budget)
 		}
+	}
+	nw := min(len(eng.workers), batch.blocks())
+	if nw <= 1 {
+		var it batchIter
+		it.seekAll(batch)
+		expandBlocks(eng.workers[0], &it)
 		return
 	}
 	var cursor atomic.Int64
@@ -439,13 +448,7 @@ func (eng *engine) expandBatch(batch *frontierBatch, results []expandResult) {
 					return
 				}
 				it.seekBlock(batch, bi)
-				for it.next() {
-					if err := w.curSim.DecodeFrom(it.cur); err != nil {
-						panic(fmt.Sprintf("mcheck: internal error: frontier entry does not decode: %v", err))
-					}
-					cur := frontierEntry{s: w.curSim, budget: it.budget, node: it.node}
-					results[it.idx-1] = w.expand(&cur)
-				}
+				expandBlocks(w, &it)
 			}
 		}(w)
 	}
@@ -470,39 +473,6 @@ func (w *searchWorker) deadlocked(s *sim.Sim) bool {
 	}
 	w.probe.CopyFrom(s)
 	return !w.probe.Step().Moved
-}
-
-// expandLevel fans the frontier out across the workers and fills results
-// (same indexing as frontier). With one worker or a one-entry level it
-// stays on the calling goroutine.
-func (eng *engine) expandLevel(frontier []frontierEntry, results []expandResult) {
-	nw := len(eng.workers)
-	if nw > len(frontier) {
-		nw = len(frontier)
-	}
-	if nw <= 1 {
-		w := eng.workers[0]
-		for i := range frontier {
-			results[i] = w.expand(&frontier[i])
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for _, w := range eng.workers[:nw] {
-		wg.Add(1)
-		go func(w *searchWorker) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(frontier) {
-					return
-				}
-				results[i] = w.expand(&frontier[i])
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // requireSearchableArbiter rejects arbiters that may carry hidden
@@ -540,28 +510,23 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 		}
 	}
 	cfg := enumConfig{inTransitOnly: opts.FreezeInTransitOnly, por: opts.Reduction.POR()}
-	// Frontier batching round-trips states through their encoding; under
-	// symmetry reduction the encoding is the canonical representative,
-	// which decodes to a permuted state and would change the traversal.
-	// The visited backends themselves are unaffected.
-	if len(perms) > 0 {
-		opts.Visited.CompressFrontier = false
-	}
 
 	root := newHeldSim(sc)
 	eng := newEngine(opts, cfg, perms, root, workers)
 	defer eng.visited.close()
 
+	// The frontier carries the root's own encoding; the visited set keys
+	// it canonically under symmetry reduction.
 	var rootEnc, rootScratch []byte
+	root.EncodeTo(&rootEnc)
+	rootKey := rootEnc
 	if len(perms) > 0 {
-		root.CanonicalEncodeTo(perms, &rootEnc, &rootScratch)
-	} else {
-		root.EncodeTo(&rootEnc)
+		rootKey = nil
+		root.CanonicalEncodeTo(perms, &rootKey, &rootScratch)
 	}
-	eng.visited.insert(eng.visited.hash(rootEnc), rootEnc, opts.StallBudget)
+	eng.visited.insert(eng.visited.hash(rootKey), rootKey, opts.StallBudget)
 
 	nodes := []provNode{{parent: -1, dec: -1}}
-	frontier := []frontierEntry{{s: root, budget: opts.StallBudget, node: 0}}
 	states := 1
 	level := 0
 
@@ -594,7 +559,7 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 		r.Workers = workers
 		r.Reduction = opts.Reduction
 		r.SymmetryGroup = 1 + len(perms)
-		// Worker pruning counters sum deterministically: expandLevel is a
+		// Worker pruning counters sum deterministically: expandBatch is a
 		// barrier, so every level that influenced the result was expanded
 		// in full before its merge (including the final, early-returning
 		// one), and the per-worker split of a level never changes totals.
@@ -654,10 +619,9 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 	progressEvery := opts.ProgressEvery // normalized: always positive
 	lastProgress := start
 
-	// levelTelemetry is the per-level reporting shared by both frontier
-	// representations. The trace event is emitted here — before the
-	// level's merge, from this single goroutine — so the traced sequence
-	// is the same for every Parallelism value.
+	// levelTelemetry is the per-level reporting. The trace event is
+	// emitted here — before the level's merge, from this single goroutine
+	// — so the traced sequence is the same for every Parallelism value.
 	levelTelemetry := func(frontierSize int) {
 		if opts.Tracer != nil {
 			ev := obsv.Ev(obsv.KindSearchLevel, level)
@@ -686,114 +650,66 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 		}
 	}
 
-	if eng.batched {
-		// Batched path: the frontier is a delta-encoded byte batch; the
-		// merge decodes it sequentially (same order as the slice loop
-		// below) and re-encodes accepted successors into the next batch.
-		// Verdicts, counts and witnesses are byte-identical to the
-		// unbatched path — the backend-parity tests pin this.
-		var builders [2]batchBuilder
-		cur := 0
-		builders[cur].add(rootEnc, opts.StallBudget, 0)
-		eng.putSim(root) // the batch carries no live sims; recycle the root
-		var results []expandResult
-		var it batchIter
-		for {
-			batch := &builders[cur].batch
-			if batch.count == 0 {
-				return finish(SearchResult{Verdict: VerdictNoDeadlock, States: states})
-			}
-			levelTelemetry(batch.count)
-			if cap(results) < batch.count {
-				results = make([]expandResult, batch.count)
-			}
-			results = results[:batch.count]
-			eng.expandBatch(batch, results)
-			nxt := 1 - cur
-			builders[nxt].reset()
-			it.seekAll(batch)
-			for it.next() {
-				res := &results[it.idx-1]
-				if res.delivered {
-					continue
-				}
-				if res.deadlocked {
-					// The batch entry decodes to the deadlocked state, but
-					// its wall clock and fault anchors are relative; replay
-					// the witness trace instead so waitfor sees the state
-					// exactly as the unbatched engine would.
-					trace := rebuildTrace(sc, nodes, it.node, opts, cfg)
-					return finish(SearchResult{
-						Verdict:  VerdictDeadlock,
-						States:   states,
-						Trace:    trace,
-						Deadlock: waitfor.Find(Replay(sc, trace)),
-					})
-				}
-				for _, su := range res.succs {
-					if !eng.visited.insert(su.hash, su.enc, su.budget) {
-						continue
-					}
-					states++
-					if states > maxStates {
-						return finish(SearchResult{Verdict: VerdictExhausted, States: states})
-					}
-					nodes = append(nodes, provNode{parent: it.node, dec: su.dec})
-					builders[nxt].add(su.enc, su.budget, int32(len(nodes)-1))
-				}
-			}
-			cur = nxt
-			level++
+	// The frontier is a delta-encoded byte batch (frontier.go). The
+	// deterministic merge walks it in insertion order — exactly the order
+	// a sequential FIFO queue would dequeue — so every visited insertion,
+	// state count and early return matches the single-threaded engine bit
+	// for bit, and appends accepted successors to the next level's batch.
+	var builders [2]batchBuilder
+	cur := 0
+	builders[cur].add(rootEnc, opts.StallBudget, 0)
+	var results []expandResult
+	var it batchIter
+	for {
+		batch := &builders[cur].batch
+		if batch.count == 0 {
+			return finish(SearchResult{Verdict: VerdictNoDeadlock, States: states})
 		}
-	}
-
-	for len(frontier) > 0 {
-		levelTelemetry(len(frontier))
-
-		results := make([]expandResult, len(frontier))
-		eng.expandLevel(frontier, results)
-
-		// Deterministic merge: process entries in frontier order, which is
-		// exactly the order a sequential FIFO queue would dequeue them, so
-		// every visited insertion, state count and early return matches
-		// the single-threaded engine bit for bit.
-		var next []frontierEntry
-		for i := range frontier {
-			cur := &frontier[i]
-			res := &results[i]
+		levelTelemetry(batch.count)
+		if cap(results) < batch.count {
+			results = make([]expandResult, batch.count)
+		}
+		results = results[:batch.count]
+		eng.expandBatch(batch, results)
+		nxt := 1 - cur
+		builders[nxt].reset()
+		it.seekAll(batch)
+		for it.next() {
+			res := &results[it.idx-1]
 			if res.delivered {
-				eng.putSim(cur.s)
 				continue
 			}
 			if res.deadlocked {
-				d := waitfor.Find(cur.s)
+				// The batch entry decodes to the deadlocked state, but its
+				// wall clock and fault anchors are relative; replay the
+				// witness trace instead so waitfor sees the state exactly
+				// as the search reached it.
+				trace := rebuildTrace(sc, nodes, it.node, opts, cfg)
 				return finish(SearchResult{
 					Verdict:  VerdictDeadlock,
 					States:   states,
-					Trace:    rebuildTrace(sc, nodes, cur.node, opts, cfg),
-					Deadlock: d,
+					Trace:    trace,
+					Deadlock: waitfor.Find(Replay(sc, trace)),
 				})
 			}
-			for _, su := range res.succs {
+			for i := range res.succs {
+				su := &res.succs[i]
 				// Re-check against states merged earlier this level; the
 				// workers' pre-filter only saw previous levels.
-				if !eng.visited.insert(su.hash, su.enc, su.budget) {
-					eng.putSim(su.s)
+				if !eng.visited.insert(su.hash, su.key(), su.budget) {
 					continue
 				}
 				states++
 				if states > maxStates {
 					return finish(SearchResult{Verdict: VerdictExhausted, States: states})
 				}
-				nodes = append(nodes, provNode{parent: cur.node, dec: su.dec})
-				next = append(next, frontierEntry{s: su.s, budget: su.budget, node: int32(len(nodes) - 1)})
+				nodes = append(nodes, provNode{parent: it.node, dec: su.dec})
+				builders[nxt].add(su.raw(), su.budget, int32(len(nodes)-1))
 			}
-			eng.putSim(cur.s)
 		}
-		frontier = next
+		cur = nxt
 		level++
 	}
-	return finish(SearchResult{Verdict: VerdictNoDeadlock, States: states})
 }
 
 // newHeldSim instantiates the scenario with every message held at its

@@ -41,7 +41,8 @@ type visitedStore interface {
 	novel(h uint64, enc []byte, budget int) bool
 	// insert records (enc, budget) and reports whether it was new in the
 	// novel sense — exactly the condition under which the search counts a
-	// state and enqueues it.
+	// state and enqueues it. The store keeps enc itself, not a copy: the
+	// caller hands over ownership and must never modify or reuse it.
 	insert(h uint64, enc []byte, budget int) bool
 	// size returns the number of distinct state encodings recorded.
 	size() int

@@ -1,7 +1,6 @@
 package mcheck
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -213,72 +212,5 @@ func TestSpillCloseRemovesFiles(t *testing.T) {
 	}
 	if len(ents) != 0 {
 		t.Fatalf("%d entries left under the spill parent", len(ents))
-	}
-}
-
-// TestFrontierBatchRoundTrip: the delta-encoded batch must return every
-// entry byte-identically, in insertion order, both via the sequential
-// iterator and via independent per-block iterators, and a reset builder
-// must not leak state between levels.
-func TestFrontierBatchRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	type entry struct {
-		enc    []byte
-		budget int
-		node   int32
-	}
-	var bb batchBuilder
-	for round := 0; round < 3; round++ {
-		bb.reset()
-		n := 1 + rng.Intn(200)
-		entries := make([]entry, n)
-		prefix := []byte("common-prefix-most-entries-share-")
-		for i := range entries {
-			var enc []byte
-			if rng.Intn(4) > 0 {
-				enc = append(append([]byte(nil), prefix...), byte(i), byte(i>>8))
-			} else {
-				enc = make([]byte, 1+rng.Intn(50))
-				rng.Read(enc)
-			}
-			entries[i] = entry{enc: enc, budget: rng.Intn(10), node: int32(rng.Intn(1 << 20))}
-			bb.add(enc, entries[i].budget, entries[i].node)
-		}
-		b := &bb.batch
-		if b.count != n {
-			t.Fatalf("round %d: count = %d, want %d", round, b.count, n)
-		}
-
-		var it batchIter
-		it.seekAll(b)
-		for i := 0; it.next(); i++ {
-			if it.idx-1 != i {
-				t.Fatalf("round %d: iterator index %d, want %d", round, it.idx-1, i)
-			}
-			e := entries[i]
-			if !bytes.Equal(it.cur, e.enc) || it.budget != e.budget || it.node != e.node {
-				t.Fatalf("round %d entry %d: decoded (%x,%d,%d), want (%x,%d,%d)",
-					round, i, it.cur, it.budget, it.node, e.enc, e.budget, e.node)
-			}
-		}
-		if it.idx != n {
-			t.Fatalf("round %d: sequential iteration stopped at %d of %d", round, it.idx, n)
-		}
-
-		seen := 0
-		for bi := 0; bi < b.blocks(); bi++ {
-			var blk batchIter
-			blk.seekBlock(b, bi)
-			for blk.next() {
-				e := entries[blk.idx-1]
-				if !bytes.Equal(blk.cur, e.enc) || blk.budget != e.budget || blk.node != e.node {
-					t.Fatalf("round %d block %d entry %d: decode mismatch", round, bi, blk.idx-1)
-				}
-				seen++
-			}
-		}
-		if seen != n {
-			t.Fatalf("round %d: block iteration covered %d of %d entries", round, seen, n)
-		}
 	}
 }

@@ -106,7 +106,7 @@ func (s *Sim) EncodeTo(dst *[]byte) {
 // state an exact substitute for the one that was encoded: stepping both
 // with identical choice sequences yields identical encodings forever.
 //
-// The out-of-core search uses this to carry frontiers as compact byte
+// The exhaustive search uses this to carry frontiers as compact byte
 // batches instead of live simulators; it is equally the deserialization
 // half of the future coordinator/worker wire protocol.
 func (s *Sim) DecodeFrom(enc []byte) error {
