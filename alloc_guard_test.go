@@ -54,12 +54,20 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 // TestStepTelemetryZeroAllocSteadyState pins the sampled hot path at the
 // same 0 allocs/op as the unobserved one. The stride is set low enough
 // that every measured window both takes samples and closes frames, so
-// the accumulator scan, FinishSample, and the frame-ring copy are all
-// exercised — none of them may touch the heap.
+// the accumulator scan, FinishSample, and the window append are all
+// exercised — none of them may touch the heap. The window budget is
+// small so the warmup drives it past its first eviction; the measured
+// region then recycles evicted block buffers instead of growing.
 func TestStepTelemetryZeroAllocSteadyState(t *testing.T) {
 	s := crossTrafficSim(4096)
-	col := telemetry.NewCollector(s.Network().NumChannels(), telemetry.Config{Stride: 2, FrameEvery: 4, Ring: 8})
+	col := telemetry.NewCollector(s.Network().NumChannels(), telemetry.Config{Stride: 2, FrameEvery: 4, WindowBytes: 2 << 10})
 	s.SetTelemetry(col)
+	for i := 0; i < 2000; i++ {
+		s.Step()
+	}
+	if st := col.Window().Stats(); st.Dropped == 0 {
+		t.Fatalf("warmup never evicted a window block (%+v); the guard would measure first-touch growth", st)
+	}
 	if n := testing.AllocsPerRun(200, func() {
 		s.Step()
 	}); n != 0 {
@@ -69,7 +77,7 @@ func TestStepTelemetryZeroAllocSteadyState(t *testing.T) {
 		t.Fatal("collector took no samples; the guard measured an unsampled path")
 	}
 	if col.FramesClosed() == 0 {
-		t.Fatal("collector closed no frames; the guard never exercised the ring copy")
+		t.Fatal("collector closed no frames; the guard never exercised the window append")
 	}
 }
 
@@ -94,7 +102,7 @@ func TestStepAdaptiveTelemetryZeroAllocSteadyState(t *testing.T) {
 		s.MustAdd(sim.MessageSpec{Src: src, Dst: dst, Length: 8192, Path: alg.Path(src, dst)})
 	}
 	col := telemetry.NewCollector(s.Network().NumChannels(), telemetry.Config{
-		Stride: 1, FrameEvery: 2, Ring: 4,
+		Stride: 1, FrameEvery: 2,
 		Adaptive: true, MaxStride: 4, WindowBytes: 2 << 10,
 	})
 	s.SetTelemetry(col)

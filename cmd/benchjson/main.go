@@ -331,7 +331,7 @@ func main() {
 			hotSet   = 8
 		)
 		col := telemetry.NewCollector(channels, telemetry.Config{
-			Stride: 4, FrameEvery: perFrame, Ring: 8,
+			Stride: 4, FrameEvery: perFrame,
 			Adaptive: true, MaxStride: 32, WindowBytes: 8 << 10,
 		})
 		cycle, flits := 0, int64(0)

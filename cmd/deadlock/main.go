@@ -143,9 +143,6 @@ func main() {
 			res.StatesPerSec, res.PeakVisited, res.Workers, res.Elapsed.Round(time.Millisecond))
 		v := res.Visited
 		switch v.Backend {
-		case "bitstate":
-			fmt.Printf("            visited %s: %s resident, bloom FP rate %.4f (%d/%d probes rechecked exactly)\n",
-				v.Backend, cli.FormatBytes(v.Bytes), v.BloomFPRate, v.BloomHits, v.BloomProbes)
 		case "spill":
 			fmt.Printf("            visited %s: %s resident, %s in %d run(s) on disk (%d compactions)\n",
 				v.Backend, cli.FormatBytes(v.Bytes), cli.FormatBytes(v.SpillBytes), v.SpillRuns, v.Compactions)

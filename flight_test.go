@@ -28,7 +28,7 @@ func runFigure2Deadlock(t *testing.T, dir string) (*telemetry.FlightRecorder, *t
 	t.Helper()
 	pn := papernets.Figure2()
 	s := pn.Scenario.NewSim()
-	col := telemetry.NewCollector(pn.Network.NumChannels(), telemetry.Config{Stride: 1, FrameEvery: 4, Ring: 16})
+	col := telemetry.NewCollector(pn.Network.NumChannels(), telemetry.Config{Stride: 1, FrameEvery: 4})
 	rec := telemetry.NewFlightRecorder(pn.Network, 0, col)
 	s.SetTelemetry(col)
 	s.SetTracer(rec)
@@ -129,7 +129,7 @@ func TestTelemetryFramesDeterministic(t *testing.T) {
 	drive := func() []byte {
 		pn := papernets.Figure1()
 		s := pn.Scenario.NewSim()
-		col := telemetry.NewCollector(pn.Network.NumChannels(), telemetry.Config{Stride: 2, FrameEvery: 4, Ring: 8})
+		col := telemetry.NewCollector(pn.Network.NumChannels(), telemetry.Config{Stride: 2, FrameEvery: 4})
 		var out []byte
 		col.OnFrame = func(f *telemetry.Frame) {
 			out = f.AppendJSON(out)
@@ -162,7 +162,7 @@ func TestTelemetryAdaptiveFramesDeterministic(t *testing.T) {
 		pn := papernets.Figure1()
 		s := pn.Scenario.NewSim()
 		col := telemetry.NewCollector(pn.Network.NumChannels(), telemetry.Config{
-			Stride: 1, FrameEvery: 4, Ring: 8,
+			Stride: 1, FrameEvery: 4,
 			Adaptive: true, MaxStride: 8, WindowBytes: 16 << 10,
 		})
 		var out []byte

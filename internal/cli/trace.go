@@ -54,7 +54,7 @@ func RegisterObsvFlags() *ObsvFlags {
 		TelemetryMax: flag.Int("telemetry-max-stride", 0,
 			"cap for the adaptive telemetry stride (0 = 16x the base stride)"),
 		TelemetryWindow: flag.String("telemetry-window", "",
-			"retain a delta-compressed long-horizon frame window under this byte budget (e.g. 256K, 4M); flight bundles then carry the whole window instead of the 64-frame ring"),
+			"byte budget of the delta-compressed telemetry frame window that flight bundles carry (e.g. 256K, 4M; default: the memory of 64 raw frames)"),
 		FlightRecorder: flag.String("flight-recorder", "",
 			"write a flight-recorder dump (telemetry frames, recent events, wait-for DOT, congestion heatmap) into this directory when the run deadlocks, fails liveness, or saturates"),
 	}
@@ -297,7 +297,6 @@ func SearchRun(name string, net *topology.Network, res mcheck.SearchResult) mani
 	run.VisitedBytes = res.Visited.Bytes
 	run.SpillBytes = res.Visited.SpillBytes
 	run.SpillRuns = res.Visited.SpillRuns
-	run.BloomFPRate = res.Visited.BloomFPRate
 	return run
 }
 
@@ -353,7 +352,6 @@ func (o *Observer) SearchProgress(name string) func(mcheck.ProgressInfo) {
 				VisitedEntries: p.VisitedEntries,
 				VisitedBytes:   p.VisitedBytes,
 				SpillBytes:     p.SpillBytes,
-				BloomFPRate:    p.BloomFPRate,
 			})
 		}
 	}

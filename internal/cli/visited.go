@@ -12,12 +12,11 @@ import (
 
 // VisitedFlags holds the visited-set backend flags shared by every
 // command that runs an exhaustive search: -visited, -visited-mem,
-// -bitstate-bits, -spill-dir. Register them with RegisterVisitedFlags
-// before flag.Parse, then resolve with Config.
+// -spill-dir. Register them with RegisterVisitedFlags before flag.Parse,
+// then resolve with Config.
 type VisitedFlags struct {
 	Backend   *string
 	MemBudget *string
-	BloomBits *string
 	SpillDir  *string
 }
 
@@ -26,11 +25,9 @@ type VisitedFlags struct {
 func RegisterVisitedFlags() *VisitedFlags {
 	return &VisitedFlags{
 		Backend: flag.String("visited", "mem",
-			"visited-set backend: mem (in-memory reference), bitstate (Bloom-prefiltered, exact), spill (disk-backed, memory-bounded); verdicts and witnesses are identical across backends"),
+			"visited-set backend: mem (in-memory reference), spill (disk-backed, memory-bounded); verdicts and witnesses are identical across backends"),
 		MemBudget: flag.String("visited-mem", "",
 			"spill backend resident-memory budget, e.g. 64M or 2Gi (binary suffixes K/M/G/T; default 256M)"),
-		BloomBits: flag.String("bitstate-bits", "",
-			"bitstate Bloom filter size in bits, e.g. 64M (rounded up to a power of two; default 64M)"),
 		SpillDir: flag.String("spill-dir", "",
 			"parent directory for spill run files (default: the system temp directory)"),
 	}
@@ -43,31 +40,19 @@ func (f *VisitedFlags) Config() mcheck.VisitedConfig {
 	switch *f.Backend {
 	case "", "mem":
 		cfg.Backend = mcheck.VisitedMem
-	case "bitstate":
-		cfg.Backend = mcheck.VisitedBitstate
 	case "spill":
 		cfg.Backend = mcheck.VisitedSpill
 	default:
-		fmt.Fprintf(os.Stderr, "cli: -visited=%s: unknown backend (want mem, bitstate, spill)\n", *f.Backend)
-		os.Exit(2)
-	}
-	fail := func(flagName string, err error) {
-		fmt.Fprintf(os.Stderr, "cli: -%s: %v\n", flagName, err)
+		fmt.Fprintf(os.Stderr, "cli: -visited=%s: unknown backend (want mem, spill)\n", *f.Backend)
 		os.Exit(2)
 	}
 	if *f.MemBudget != "" {
 		n, err := ParseByteSize(*f.MemBudget)
 		if err != nil {
-			fail("visited-mem", err)
+			fmt.Fprintf(os.Stderr, "cli: -visited-mem: %v\n", err)
+			os.Exit(2)
 		}
 		cfg.MemBudget = n
-	}
-	if *f.BloomBits != "" {
-		n, err := ParseByteSize(*f.BloomBits)
-		if err != nil {
-			fail("bitstate-bits", err)
-		}
-		cfg.BloomBits = n
 	}
 	cfg.SpillDir = *f.SpillDir
 	return cfg

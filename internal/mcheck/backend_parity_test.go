@@ -10,11 +10,9 @@ import (
 )
 
 // backendParityConfigs are the visited-set configurations that must be
-// observationally identical to the default in-memory backend. Sizes are
-// deliberately hostile: the Bloom filter is at its minimum (dense enough
-// to produce real false positives on thousand-state searches, so the
-// exact-recheck path runs for real) and the spill budget is one byte (so
-// every shard spills constantly and most probes hit disk runs).
+// observationally identical to the default in-memory backend. The size is
+// deliberately hostile: the spill budget is one byte, so every shard
+// spills constantly and most probes hit disk runs.
 func backendParityConfigs() []struct {
 	name string
 	cfg  VisitedConfig
@@ -23,16 +21,15 @@ func backendParityConfigs() []struct {
 		name string
 		cfg  VisitedConfig
 	}{
-		{"bitstate", VisitedConfig{Backend: VisitedBitstate, BloomBits: 1 << 16}},
 		{"spill", VisitedConfig{Backend: VisitedSpill, MemBudget: 1}},
 	}
 }
 
 // TestVisitedBackendParity is the exactness contract of the pluggable
-// visited layer: for every scenario, every backend — bitstate prefilter,
-// disk-spilling shards — and every worker count, the verdict, state count, retained-encoding count and (for
-// deadlocks) the full witness must be byte-identical to the in-memory
-// reference. CI runs the gen3 subtest under -race as the parity smoke.
+// visited layer: for every scenario, the disk-spilling backend at every
+// worker count must reproduce the in-memory reference's verdict, state
+// count, retained-encoding count and (for deadlocks) full witness byte
+// for byte. CI runs the gen3 subtest under -race as the parity smoke.
 func TestVisitedBackendParity(t *testing.T) {
 	for _, tc := range parityCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,17 +85,6 @@ func TestVisitedBackendReported(t *testing.T) {
 	}
 	if mem.Visited.Entries != mem.PeakVisited || mem.Visited.Bytes <= 0 || mem.Visited.PeakShardEntries <= 0 {
 		t.Fatalf("mem accounting implausible: %+v", mem.Visited)
-	}
-
-	bit := Search(sc, SearchOptions{Visited: VisitedConfig{Backend: VisitedBitstate, BloomBits: 1 << 16}})
-	if bit.Visited.Backend != "bitstate" {
-		t.Fatalf("bitstate backend reported as %q", bit.Visited.Backend)
-	}
-	if bit.Visited.BloomProbes <= 0 {
-		t.Fatalf("bitstate ran with zero filter probes: %+v", bit.Visited)
-	}
-	if bit.Visited.BloomFalsePositives > bit.Visited.BloomHits || bit.Visited.BloomHits > bit.Visited.BloomProbes {
-		t.Fatalf("bloom counters inconsistent: %+v", bit.Visited)
 	}
 
 	// ring4's 56 states leave every shard under the minimum spill batch;

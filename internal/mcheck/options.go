@@ -28,11 +28,6 @@ const (
 	// VisitedMem is the in-memory reference backend (the default): a
 	// sharded exact hash set holding every encoding on the heap.
 	VisitedMem VisitedBackend = iota
-	// VisitedBitstate puts a fixed-size double-hashed Bloom prefilter in
-	// front of the exact set. Filter misses skip the shard-locked exact
-	// probe; filter hits are always re-verified exactly, so unlike
-	// classical bitstate hashing no state is ever dropped or conflated.
-	VisitedBitstate
 	// VisitedSpill bounds resident memory: shards that outgrow their byte
 	// budget spill sorted, prefix-compressed runs to disk and are probed
 	// there via fence indexes. With Search's encoded frontier batches, the
@@ -45,24 +40,15 @@ func (b VisitedBackend) String() string {
 	switch b {
 	case VisitedMem:
 		return "mem"
-	case VisitedBitstate:
-		return "bitstate"
 	case VisitedSpill:
 		return "spill"
 	}
 	return fmt.Sprintf("VisitedBackend(%d)", int(b))
 }
 
-// Defaults for VisitedConfig's zero fields.
-const (
-	// DefaultVisitedMemBudget is the spill backend's total in-memory
-	// byte budget when VisitedConfig.MemBudget is zero.
-	DefaultVisitedMemBudget = 256 << 20
-	// DefaultBloomBits sizes the bitstate filter when
-	// VisitedConfig.BloomBits is zero: 2^26 bits = 8 MiB, comfortably
-	// over 16 bits per state at DefaultMaxStates scale.
-	DefaultBloomBits = 1 << 26
-)
+// DefaultVisitedMemBudget is the spill backend's total in-memory byte
+// budget when VisitedConfig.MemBudget is zero.
+const DefaultVisitedMemBudget = 256 << 20
 
 // VisitedConfig configures the visited-set backend of a search.
 type VisitedConfig struct {
@@ -70,11 +56,8 @@ type VisitedConfig struct {
 	Backend VisitedBackend
 	// MemBudget caps the spill backend's resident bytes across all shards
 	// (run files and fence indexes excluded). 0 means
-	// DefaultVisitedMemBudget. Ignored by the other backends.
+	// DefaultVisitedMemBudget. Ignored by the mem backend.
 	MemBudget int64
-	// BloomBits sizes the bitstate filter in bits, rounded up to a power
-	// of two. 0 means DefaultBloomBits. Ignored by the other backends.
-	BloomBits int64
 	// SpillDir is the parent directory for the spill backend's private
 	// run-file directory. "" means the system temp directory.
 	SpillDir string
@@ -84,9 +67,6 @@ type VisitedConfig struct {
 func normalizeVisitedConfig(cfg VisitedConfig) VisitedConfig {
 	if cfg.MemBudget <= 0 {
 		cfg.MemBudget = DefaultVisitedMemBudget
-	}
-	if cfg.BloomBits <= 0 {
-		cfg.BloomBits = DefaultBloomBits
 	}
 	return cfg
 }

@@ -124,9 +124,8 @@ type SearchOptions struct {
 	// time changes.
 	Parallelism int
 	// Visited configures the visited-set backend: the in-memory reference
-	// (default), the Bloom-prefiltered bitstate mode, or the disk-spilling
-	// out-of-core mode. Every backend is exact; verdicts, state counts and
-	// witnesses do not depend on it.
+	// (default) or the disk-spilling out-of-core mode. Every backend is
+	// exact; verdicts, state counts and witnesses do not depend on it.
 	Visited VisitedConfig
 	// Reduction selects verdict-preserving state-space reductions
 	// (partial-order and/or symmetry). The zero value explores the full
@@ -167,10 +166,9 @@ type ProgressInfo struct {
 	StatesPerSec float64
 
 	// Visited-set memory accounting, from the live backend.
-	VisitedEntries int     // distinct encodings recorded
-	VisitedBytes   int64   // resident bytes (heap; excludes spilled runs)
-	SpillBytes     int64   // bytes in on-disk run files (spill backend)
-	BloomFPRate    float64 // measured false-positive rate (bitstate backend)
+	VisitedEntries int   // distinct encodings recorded
+	VisitedBytes   int64 // resident bytes (heap; excludes spilled runs)
+	SpillBytes     int64 // bytes in on-disk run files (spill backend)
 }
 
 // DefaultMaxStates bounds state exploration when SearchOptions.MaxStates
@@ -204,7 +202,7 @@ type SearchResult struct {
 	PeakVisited int
 	// Visited is the visited-set backend's final accounting snapshot:
 	// which backend ran, resident bytes, per-shard high-water mark, and
-	// the Bloom/spill counters where applicable.
+	// the spill counters where applicable.
 	Visited VisitedStats
 	// Workers is the worker count the search actually ran with.
 	Workers int
@@ -331,7 +329,6 @@ func (eng *engine) fillVisited(p *ProgressInfo) {
 	p.VisitedEntries = eng.vstats.Entries
 	p.VisitedBytes = eng.vstats.Bytes
 	p.SpillBytes = eng.vstats.SpillBytes
-	p.BloomFPRate = eng.vstats.BloomFPRate
 }
 
 // expand computes the fate of the frontier state decoded into w.cur. It
@@ -590,10 +587,6 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 			// Backend-specific gauges only exist when that backend ran,
 			// keeping default-backend metric snapshots identical to the
 			// historical ones.
-			if r.Visited.BloomProbes > 0 {
-				opts.Metrics.Gauge("mcheck_bloom_probes").Set(r.Visited.BloomProbes)
-				opts.Metrics.Gauge("mcheck_bloom_false_positives").Set(r.Visited.BloomFalsePositives)
-			}
 			if opts.Visited.Backend == VisitedSpill {
 				opts.Metrics.Gauge("mcheck_visited_spill_bytes").Set(r.Visited.SpillBytes)
 				opts.Metrics.Gauge("mcheck_visited_spill_runs").Set(int64(r.Visited.SpillRuns))
@@ -610,7 +603,6 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 		p.VisitedEntries = r.Visited.Entries
 		p.VisitedBytes = r.Visited.Bytes
 		p.SpillBytes = r.Visited.SpillBytes
-		p.BloomFPRate = r.Visited.BloomFPRate
 		emitProgress(p)
 		r.Warnings = warnings
 		return r

@@ -23,14 +23,13 @@ const visitedEntryOverhead = 48
 // (collisions verified against full encodings, budgets compared with the
 // same monotone rule), so verdicts, state counts and witnesses are
 // byte-identical across backends. Backends differ only in where encodings
-// reside (heap, Bloom-prefiltered heap, or disk runs) and therefore in
-// memory ceiling and constant factors.
+// reside (heap or disk runs) and therefore in memory ceiling and
+// constant factors.
 //
 // Concurrency contract (inherited from the engine): novel may be called
 // from many workers concurrently, but insert, stats, shardSizes, size and
 // close only ever run on the single merge goroutine, strictly between
-// expansion phases. Backends exploit this phase separation (e.g. the
-// Bloom bit array takes no locks).
+// expansion phases.
 type visitedStore interface {
 	// hash digests an encoding. Digests are only meaningful within one
 	// search (the seed is per-store), which is all the visited set needs.
@@ -61,26 +60,17 @@ type visitedStore interface {
 // backend, surfaced in SearchResult, obsv gauges and the live /progress
 // stream.
 type VisitedStats struct {
-	// Backend names the store that ran: "mem", "bitstate", "spill".
+	// Backend names the store that ran: "mem" or "spill".
 	Backend string
 	// Entries is the number of distinct state encodings recorded.
 	Entries int
 	// Bytes is the store's resident memory: encodings + per-entry
-	// overhead, plus the Bloom bit array and spill fence indexes where
-	// applicable. Spilled run bytes live on disk and are NOT included.
+	// overhead, plus the spill fence indexes where applicable. Spilled
+	// run bytes live on disk and are NOT included.
 	Bytes int64
 	// PeakShardEntries is the largest per-shard distinct-entry count (the
 	// high-water mark; entries are never removed, so peak = current max).
 	PeakShardEntries int
-
-	// Bloom prefilter accounting (bitstate backend only). A false
-	// positive is a filter hit whose exact re-check finds no matching
-	// encoding — the case the exact recheck exists for.
-	BloomProbes         int64
-	BloomHits           int64
-	BloomFalsePositives int64
-	// BloomFPRate is BloomFalsePositives / BloomProbes (0 when unused).
-	BloomFPRate float64
 
 	// Spill accounting (spill backend only).
 	SpillBytes     int64 // bytes currently in on-disk run files
@@ -237,8 +227,6 @@ func sizeBuf(buf []int) []int {
 // newVisitedStore builds the backend a normalized VisitedConfig selects.
 func newVisitedStore(cfg VisitedConfig) visitedStore {
 	switch cfg.Backend {
-	case VisitedBitstate:
-		return newBloomVisited(cfg.BloomBits)
 	case VisitedSpill:
 		return newSpillVisited(cfg)
 	default:

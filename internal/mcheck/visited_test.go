@@ -7,14 +7,13 @@ import (
 	"testing"
 )
 
-// allBackendStores builds one store per backend, hostile sizes (minimum
-// Bloom filter, one-byte spill budget). Callers must close them.
+// allBackendStores builds one store per backend, the spill store at a
+// hostile one-byte budget. Callers must close them.
 func allBackendStores(t *testing.T) map[string]visitedStore {
 	t.Helper()
 	return map[string]visitedStore{
-		"mem":      newVisitedSet(),
-		"bitstate": newBloomVisited(1 << 16),
-		"spill":    newSpillVisited(normalizeVisitedConfig(VisitedConfig{Backend: VisitedSpill, MemBudget: 1, SpillDir: t.TempDir()})),
+		"mem":   newVisitedSet(),
+		"spill": newSpillVisited(normalizeVisitedConfig(VisitedConfig{Backend: VisitedSpill, MemBudget: 1, SpillDir: t.TempDir()})),
 	}
 }
 
@@ -80,38 +79,6 @@ func TestVisitedBudgetReexpansion(t *testing.T) {
 				t.Fatalf("size = %d, want 1 (budget updates are not new entries)", st.size())
 			}
 		})
-	}
-}
-
-// TestBitstateExactRecheck pins the soundness mechanism: a filter hit
-// proves nothing and must fall through to the exact set. A probe with an
-// inserted digest but different encoding bytes (a simulated 64-bit
-// collision) must come back novel, and be counted as a measured false
-// positive of the filter-as-oracle.
-func TestBitstateExactRecheck(t *testing.T) {
-	st := newBloomVisited(1 << 16)
-	enc := []byte("state-one")
-	h := st.hash(enc)
-	st.insert(h, enc, 0)
-
-	other := []byte("state-two")
-	if !st.novel(h, other, 0) {
-		t.Fatal("filter hit short-circuited the exact recheck")
-	}
-	var vs VisitedStats
-	st.stats(&vs)
-	if vs.BloomFalsePositives != 1 {
-		t.Fatalf("false positives = %d, want exactly the collision probe", vs.BloomFalsePositives)
-	}
-	if st.novel(h, enc, 0) {
-		t.Fatal("exact hit reported novel")
-	}
-	st.stats(&vs)
-	if vs.BloomProbes != 2 || vs.BloomHits != 2 {
-		t.Fatalf("probes/hits = %d/%d, want 2/2", vs.BloomProbes, vs.BloomHits)
-	}
-	if vs.BloomFPRate <= 0 || vs.BloomFPRate > 1 {
-		t.Fatalf("FP rate = %v", vs.BloomFPRate)
 	}
 }
 

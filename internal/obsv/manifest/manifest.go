@@ -60,11 +60,10 @@ type Run struct {
 	// Visited-set backend accounting (exhaustive searches). VisitedBackend
 	// is recorded only for non-default backends; the byte figures mirror
 	// mcheck.VisitedStats.
-	VisitedBackend string  `json:"visited_backend,omitempty"`
-	VisitedBytes   int64   `json:"visited_bytes,omitempty"`
-	SpillBytes     int64   `json:"spill_bytes,omitempty"`
-	SpillRuns      int     `json:"spill_runs,omitempty"`
-	BloomFPRate    float64 `json:"bloom_fp_rate,omitempty"`
+	VisitedBackend string `json:"visited_backend,omitempty"`
+	VisitedBytes   int64  `json:"visited_bytes,omitempty"`
+	SpillBytes     int64  `json:"spill_bytes,omitempty"`
+	SpillRuns      int    `json:"spill_runs,omitempty"`
 	// Benchmark columns (cmd/benchjson rows).
 	NsPerOp     int64 `json:"ns_per_op,omitempty"`
 	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`

@@ -244,8 +244,6 @@ var builtinHelp = map[string]string{
 	"mcheck_visited_bytes":                "Resident bytes of the visited-set backend (excludes spilled runs).",
 	"mcheck_visited_spill_bytes":          "Bytes in the spill backend's on-disk run files at search end.",
 	"mcheck_visited_spill_runs":           "Live run files of the spill backend at search end.",
-	"mcheck_bloom_probes":                 "Bitstate Bloom prefilter probes during the search.",
-	"mcheck_bloom_false_positives":        "Bloom prefilter hits whose exact re-check found no entry.",
 	"mcheck_states_pruned":                "Successor candidates discarded by state-space reductions.",
 	"mcheck_sleep_set_hits":               "Expanded states with a non-empty sleep set.",
 	"mcheck_symmetry_group":               "Order of the symmetry group the canonical encoding quotients by.",

@@ -26,10 +26,9 @@ type Snapshot struct {
 	States       int   `json:"states,omitempty"`
 	StatesPerSec int64 `json:"states_per_sec,omitempty"`
 	// Visited-set memory accounting (exhaustive searches; zero elsewhere).
-	VisitedEntries int     `json:"visited_entries,omitempty"`
-	VisitedBytes   int64   `json:"visited_bytes,omitempty"`
-	SpillBytes     int64   `json:"spill_bytes,omitempty"`
-	BloomFPRate    float64 `json:"bloom_fp_rate,omitempty"`
+	VisitedEntries int   `json:"visited_entries,omitempty"`
+	VisitedBytes   int64 `json:"visited_bytes,omitempty"`
+	SpillBytes     int64 `json:"spill_bytes,omitempty"`
 
 	// Campaign telemetry (Source == "campaign").
 	Cycle         int `json:"cycle,omitempty"`

@@ -1,5 +1,5 @@
 // The flight recorder: a fixed-capacity ring of recent obsv events plus
-// the collector's frame ring, dumped as a post-mortem bundle only when
+// the collector's frame window, dumped as a post-mortem bundle only when
 // something goes wrong (deadlock, livelock, starvation, saturation). The
 // analogy is deliberate — it records continuously at bounded cost and is
 // read only after the crash.
@@ -169,23 +169,14 @@ func (r *FlightRecorder) Dump(dir, reason string) error {
 	return nil
 }
 
-// frameSource returns the frames the bundle will carry: the long-horizon
-// window when one is attached (its whole retained history), otherwise
-// the collector's frame ring.
+// frameSource returns the frames the bundle will carry: the collector
+// window's whole retained history.
 func (r *FlightRecorder) frameSource() (count int, emit func(func(*Frame))) {
-	c := r.collector
-	if c == nil {
+	if r.collector == nil {
 		return 0, func(func(*Frame)) {}
 	}
-	if w := c.Window(); w != nil {
-		return w.Stats().Frames, w.Frames
-	}
-	ring := c.Frames()
-	return len(ring), func(visit func(*Frame)) {
-		for _, f := range ring {
-			visit(f)
-		}
-	}
+	w := r.collector.Window()
+	return w.Stats().Frames, w.Frames
 }
 
 // renderJSONL builds flight.jsonl: one header object, one channel-
@@ -220,10 +211,8 @@ func (r *FlightRecorder) renderJSONL(reason string) []byte {
 	b = append(b, `,"frames_retained":`...)
 	b = strconv.AppendInt(b, int64(frames), 10)
 	if r.collector != nil {
-		if w := r.collector.Window(); w != nil {
-			b = append(b, `,"window":`...)
-			b = w.Stats().AppendJSON(b)
-		}
+		b = append(b, `,"window":`...)
+		b = r.collector.Window().Stats().AppendJSON(b)
 	}
 	b = append(b, '}', '\n')
 

@@ -12,8 +12,9 @@
 // allocations, regardless of run length.
 //
 // Samples aggregate into Frames (FrameEvery samples each), which are kept
-// in a fixed-capacity ring: the run's recent history is always available
-// for the flight recorder (see FlightRecorder) without unbounded growth.
+// in a delta-compressed Window under a fixed byte budget: the run's recent
+// history is always available for the flight recorder (see
+// FlightRecorder) without unbounded growth.
 // Everything is deterministic: frames carry only logical quantities
 // (cycles, counts), sampling cycles are a pure function of the cycle
 // counter, and the JSON encodings are hand-rolled with fixed key order —
@@ -31,8 +32,6 @@ type Config struct {
 	// FrameEvery is the number of samples aggregated into one frame.
 	// Default 16 (one frame per 1024 cycles at the default stride).
 	FrameEvery int
-	// Ring is the number of most-recent frames retained. Default 64.
-	Ring int
 	// Adaptive enables stride adaptation: the collector backs the
 	// sampling stride off geometrically (doubling, up to MaxStride) while
 	// the network is quiet — low busy+blocked heat and a stable live
@@ -43,11 +42,11 @@ type Config struct {
 	Adaptive bool
 	// MaxStride caps the adaptive backoff. Default 16×Stride.
 	MaxStride int
-	// WindowBytes, when positive, attaches a delta-compressed long-
-	// horizon Window of the given byte budget: every closed frame is also
-	// appended to the window, which evicts its oldest restart blocks when
-	// over budget — a multi-hour history at fixed memory, instead of (in
-	// addition to) the fixed Ring-frame history.
+	// WindowBytes is the byte budget of the collector's delta-compressed
+	// frame Window: every closed frame is appended to it, and it evicts
+	// its oldest restart blocks when over budget — a multi-hour history
+	// at fixed memory. 0 selects the memory 64 uncompressed frames would
+	// take: 64 × (12 × channels + rawFrameScalars) bytes.
 	WindowBytes int
 }
 
@@ -58,9 +57,6 @@ func (c Config) withDefaults() Config {
 	if c.FrameEvery < 1 {
 		c.FrameEvery = 16
 	}
-	if c.Ring < 1 {
-		c.Ring = 64
-	}
 	if c.MaxStride < c.Stride {
 		c.MaxStride = 16 * c.Stride
 	}
@@ -69,11 +65,12 @@ func (c Config) withDefaults() Config {
 
 // Frame is one closed aggregation window: FrameEvery samples (fewer for a
 // final partial frame) over the cycle span [Start, End]. The per-channel
-// slices are owned by the collector's ring and are overwritten once the
-// ring wraps — copy what must outlive the run.
+// slices of a frame handed out by the collector or a Window are reused for
+// the next frame — copy what must outlive the callback.
 type Frame struct {
 	// Index is the frame's ordinal from the start of the run (frame 0 may
-	// have been evicted from the ring; Index keeps the stream addressable).
+	// have been evicted from the window; Index keeps the stream
+	// addressable).
 	Index int
 	// Start and End are the cycles of the frame's first and last sample.
 	Start, End int
@@ -148,8 +145,9 @@ func (f *Frame) AppendJSON(b []byte) []byte {
 // Collector accumulates per-channel telemetry samples into frames. Attach
 // one to a simulator with sim.SetTelemetry; the simulator fills the
 // current sample's arrays (Accum) and closes it (FinishSample) on its own
-// deterministic schedule. Everything the steady-state path touches is
-// preallocated by NewCollector, so sampling allocates nothing — the same
+// deterministic schedule. The per-sample arrays and the scratch frame are
+// preallocated by NewCollector, and the window recycles its buffers once
+// it first evicts, so steady-state sampling allocates nothing — the same
 // contract as the simulator's scratch arenas.
 //
 // A Collector is per-run working memory, not simulation state: like the
@@ -175,8 +173,9 @@ type Collector struct {
 	prevBlockedSum uint64
 	prevLive       int
 
-	// Frame ring, preallocated: frames[i%Ring] holds frame i.
-	frames []Frame
+	// frame is the scratch the closing frame is assembled in before it
+	// goes to the window and OnFrame.
+	frame  Frame
 	closed int // frames closed so far
 
 	// Run totals, accumulated at frame close (plus the current partials
@@ -192,43 +191,44 @@ type Collector struct {
 	lastLive  int
 	prevFlits int64 // FlitsConsumed at the previous frame boundary
 
-	// window, when configured, receives every closed frame as a
-	// delta-compressed record under a fixed byte budget (long-horizon
-	// history); nil when Config.WindowBytes is zero.
+	// window receives every closed frame as a delta-compressed record
+	// under a fixed byte budget: the collector's only frame history.
 	window *Window
 
 	// OnFrame, when set, is called with each frame as it closes (the
-	// pointer aliases ring memory — consume it synchronously). It feeds
-	// the live /telemetry endpoint and metrics bridge; nil (the default)
-	// keeps the frame-close path allocation-free.
+	// pointer aliases the collector's scratch frame — consume it
+	// synchronously). It feeds the live /telemetry endpoint and metrics
+	// bridge; nil (the default) keeps the frame-close path
+	// allocation-free.
 	OnFrame func(*Frame)
 }
 
 // NewCollector returns a collector for a network with the given channel
-// count, with every steady-state buffer preallocated.
+// count, with every per-sample buffer preallocated.
 func NewCollector(channels int, cfg Config) *Collector {
 	cfg = cfg.withDefaults()
 	c := &Collector{
-		cfg:        cfg,
-		channels:   channels,
-		busy:       make([]uint32, channels),
-		occ:        make([]uint32, channels),
-		blocked:    make([]uint32, channels),
-		frames:     make([]Frame, cfg.Ring),
+		cfg:      cfg,
+		channels: channels,
+		busy:     make([]uint32, channels),
+		occ:      make([]uint32, channels),
+		blocked:  make([]uint32, channels),
+		frame: Frame{
+			Busy:    make([]uint32, channels),
+			Occ:     make([]uint32, channels),
+			Blocked: make([]uint32, channels),
+		},
 		totBusy:    make([]uint64, channels),
 		totOcc:     make([]uint64, channels),
 		totBlocked: make([]uint64, channels),
 		lastCycle:  -1,
 		stride:     cfg.Stride,
 	}
-	for i := range c.frames {
-		c.frames[i].Busy = make([]uint32, channels)
-		c.frames[i].Occ = make([]uint32, channels)
-		c.frames[i].Blocked = make([]uint32, channels)
+	budget := cfg.WindowBytes
+	if budget <= 0 {
+		budget = defaultWindowFrames * (12*channels + rawFrameScalars)
 	}
-	if cfg.WindowBytes > 0 {
-		c.window = NewWindow(channels, cfg.WindowBytes)
-	}
+	c.window = NewWindow(channels, budget)
 	return c
 }
 
@@ -246,8 +246,8 @@ func (c *Collector) Channels() int { return c.channels }
 // -1 when nothing was sampled yet.
 func (c *Collector) LastSampleCycle() int { return c.lastCycle }
 
-// Window returns the long-horizon delta window, nil unless
-// Config.WindowBytes was set.
+// Window returns the delta-compressed frame window holding the run's
+// retained frames.
 func (c *Collector) Window() *Window { return c.window }
 
 // Due reports whether cycle now is a sampling cycle. Fixed collectors
@@ -354,7 +354,7 @@ func (c *Collector) Flush() {
 }
 
 func (c *Collector) closeFrame() {
-	f := &c.frames[c.closed%c.cfg.Ring]
+	f := &c.frame
 	f.Index = c.closed
 	f.Start = c.frameStart
 	// End is the cycle of the frame's LAST SAMPLE — the true sampled
@@ -384,27 +384,14 @@ func (c *Collector) closeFrame() {
 	c.prevBusySum, c.prevBlockedSum = 0, 0
 	c.samples = 0
 	c.closed++
-	if c.window != nil {
-		c.window.Append(f)
-	}
+	c.window.Append(f)
 	if c.OnFrame != nil {
 		c.OnFrame(f)
 	}
 }
 
-// Frames returns the retained frames in chronological order. The returned
-// slice is freshly allocated but its Busy/Occ/Blocked share ring memory.
-func (c *Collector) Frames() []*Frame {
-	n := min(c.closed, c.cfg.Ring)
-	out := make([]*Frame, 0, n)
-	for i := c.closed - n; i < c.closed; i++ {
-		out = append(out, &c.frames[i%c.cfg.Ring])
-	}
-	return out
-}
-
 // FramesClosed returns how many frames have closed since the run started
-// (including frames the ring has since evicted).
+// (including frames the window has since evicted).
 func (c *Collector) FramesClosed() int { return c.closed }
 
 // Samples returns the total number of samples taken, including the

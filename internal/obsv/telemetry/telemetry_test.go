@@ -34,7 +34,7 @@ func TestCollectorDue(t *testing.T) {
 // TestCollectorFrameMath drives a small collector through exact frame
 // boundaries and checks every aggregated figure.
 func TestCollectorFrameMath(t *testing.T) {
-	c := NewCollector(4, Config{Stride: 10, FrameEvery: 3, Ring: 8})
+	c := NewCollector(4, Config{Stride: 10, FrameEvery: 3})
 	var frames []Frame
 	c.OnFrame = func(f *Frame) {
 		cp := *f
@@ -81,31 +81,48 @@ func TestCollectorFrameMath(t *testing.T) {
 	}
 }
 
-// TestCollectorRingEviction: only the last Ring frames stay retained,
-// chronologically ordered, with global indices preserved.
-func TestCollectorRingEviction(t *testing.T) {
-	c := NewCollector(2, Config{Stride: 1, FrameEvery: 1, Ring: 4})
-	for i := 0; i < 10; i++ {
+// TestCollectorWindowEviction: under a small WindowBytes the collector's
+// window keeps only the most recent whole restart blocks, chronologically
+// ordered, with global indices preserved and evictions still counted.
+func TestCollectorWindowEviction(t *testing.T) {
+	const closed = 1000
+	c := NewCollector(2, Config{Stride: 1, FrameEvery: 1, WindowBytes: 1 << 10})
+	for i := 0; i < closed; i++ {
 		fillSample(c, i, []int{0}, nil, int64(i), 1)
 	}
-	got := c.Frames()
-	if len(got) != 4 {
-		t.Fatalf("retained %d frames, want 4", len(got))
+	st := c.Window().Stats()
+	if st.Dropped == 0 || st.Dropped%windowRestart != 0 || st.Frames+st.Dropped != closed {
+		t.Fatalf("window accounting: %+v", st)
 	}
-	for i, f := range got {
-		if f.Index != 6+i {
-			t.Fatalf("frame %d has index %d, want %d", i, f.Index, 6+i)
+	next := st.Dropped
+	c.Window().Frames(func(f *Frame) {
+		if f.Index != next {
+			t.Fatalf("retained frame has index %d, want %d", f.Index, next)
 		}
+		next++
+	})
+	if next != closed {
+		t.Fatalf("retained frames end at %d, want %d", next, closed)
 	}
-	if c.FramesClosed() != 10 {
-		t.Fatalf("FramesClosed = %d, want 10 (evictions still counted)", c.FramesClosed())
+	if c.FramesClosed() != closed {
+		t.Fatalf("FramesClosed = %d, want %d (evictions still counted)", c.FramesClosed(), closed)
+	}
+}
+
+// TestCollectorDefaultWindowBudget: without WindowBytes the window gets
+// the memory 64 raw frames would take, derived from the channel count.
+func TestCollectorDefaultWindowBudget(t *testing.T) {
+	const channels = 33
+	c := NewCollector(channels, Config{})
+	if got, want := c.Window().Stats().Budget, defaultWindowFrames*(12*channels+rawFrameScalars); got != want {
+		t.Fatalf("default window budget = %d, want %d", got, want)
 	}
 }
 
 // TestCollectorHottest: heat is busy+blocked across the whole run
 // including the current partial frame; ties break to the lowest ID.
 func TestCollectorHottest(t *testing.T) {
-	c := NewCollector(4, Config{Stride: 1, FrameEvery: 2, Ring: 2})
+	c := NewCollector(4, Config{Stride: 1, FrameEvery: 2})
 	fillSample(c, 0, []int{1, 3}, []int{3}, 0, 2)
 	fillSample(c, 1, []int{1, 3}, []int{3}, 0, 2) // frame closes
 	fillSample(c, 2, []int{1, 3}, []int{3}, 0, 2) // partial
@@ -136,7 +153,7 @@ func TestCollectorHottest(t *testing.T) {
 
 // TestCollectorSummary checks the manifest block's figures.
 func TestCollectorSummary(t *testing.T) {
-	c := NewCollector(2, Config{Stride: 5, FrameEvery: 2, Ring: 4})
+	c := NewCollector(2, Config{Stride: 5, FrameEvery: 2})
 	fillSample(c, 0, []int{0}, nil, 0, 1)
 	fillSample(c, 5, []int{0}, []int{1}, 8, 1)
 	fillSample(c, 10, []int{0, 1}, nil, 16, 0) // partial
@@ -171,7 +188,7 @@ func TestCollectorSummary(t *testing.T) {
 // identical frame bytes, and all-zero channels are omitted.
 func TestFrameJSONDeterministic(t *testing.T) {
 	drive := func() []byte {
-		c := NewCollector(3, Config{Stride: 2, FrameEvery: 2, Ring: 4})
+		c := NewCollector(3, Config{Stride: 2, FrameEvery: 2})
 		var out []byte
 		c.OnFrame = func(f *Frame) { out = f.AppendJSON(out); out = append(out, '\n') }
 		for i := 0; i < 8; i++ {

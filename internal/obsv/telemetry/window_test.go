@@ -121,8 +121,7 @@ func TestWindowEvictionKeepsDecodableSuffix(t *testing.T) {
 }
 
 // TestWindowHistoryMultiple checks the acceptance figure: at equal
-// memory, the delta window retains ≥8× the cycle history of a plain
-// frame ring.
+// memory, the delta window retains ≥8× the cycle history of raw frames.
 func TestWindowHistoryMultiple(t *testing.T) {
 	const channels = 256
 	budget := 8 << 10

@@ -173,6 +173,41 @@ func TestGenKMinimalStall(t *testing.T) {
 	}
 }
 
+// Gen(6) does not tolerate k-1 = 5 cycles of router delay: under a total
+// stall budget of 5 it deadlocks, with the stalls spread over several
+// messages. This pins the finding (verdict, exhaustive state count, and a
+// witness that stalls no message more than 3 cycles) so that a change to
+// the search or to the Gen(k) construction cannot move it unnoticed; the
+// exact-k claim above is checked only for small k.
+func TestGen6DeadlocksAtStallFive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Gen(6) search is expensive")
+	}
+	pn := GenK(6)
+	res := mcheck.Search(pn.Scenario, mcheck.SearchOptions{StallBudget: 5, FreezeInTransitOnly: true})
+	if res.Verdict != mcheck.VerdictDeadlock {
+		t.Fatalf("gen6 with budget 5: %v; want deadlock", res.Verdict)
+	}
+	if res.States != 33_277 {
+		t.Fatalf("gen6 with budget 5 explored %d states; want 33277", res.States)
+	}
+	s := mcheck.Replay(pn.Scenario, res.Trace)
+	if err := waitfor.Verify(s, res.Deadlock); err != nil {
+		t.Fatalf("witness does not replay: %v", err)
+	}
+	frozen := map[int]int{}
+	for _, d := range res.Trace {
+		for _, id := range d.Freeze {
+			frozen[id]++
+		}
+	}
+	for id, n := range frozen {
+		if n > 3 {
+			t.Fatalf("witness stalls m%d for %d cycles; want at most 3 (freeze profile %v)", id, n, frozen)
+		}
+	}
+}
+
 func TestGenKRejectsBadK(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/topology"
@@ -196,9 +197,52 @@ func TestDecodeRejectsCorruptEncodings(t *testing.T) {
 			bad[0] ^= 0x01 // injected count of message 0
 			return bad
 		}()},
+		{"down-channel-overflow", func() []byte {
+			// A channel id past MaxInt wraps negative as an int and would
+			// slip past the range check.
+			bad := binary.AppendUvarint(append([]byte(nil), enc...), 1<<63)
+			return binary.AppendUvarint(bad, 0)
+		}()},
 	} {
 		if err := dec.DecodeFrom(tc.enc); err == nil {
 			t.Errorf("%s: corrupt encoding accepted", tc.name)
 		}
 	}
+}
+
+// FuzzDecodeFrom feeds DecodeFrom arbitrary bytes against the decode
+// scenarios. DecodeFrom must never panic, and any input it accepts must
+// re-encode to bytes that decode into a fresh sim and re-encode
+// identically.
+func FuzzDecodeFrom(f *testing.F) {
+	scs := decodeScenarios()
+	for i, sc := range scs {
+		s := sc.NewSim()
+		s.SetChannelDown(0, DownForever)
+		s.SetChannelDown(1, 5)
+		for cycle := 0; cycle < 12; cycle++ {
+			var enc []byte
+			s.EncodeTo(&enc)
+			f.Add(uint8(i), enc)
+			s.Step()
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, enc []byte) {
+		sc := scs[int(which)%len(scs)]
+		s := sc.NewSim()
+		if err := s.DecodeFrom(enc); err != nil {
+			return
+		}
+		var re []byte
+		s.EncodeTo(&re)
+		fresh := sc.NewSim()
+		if err := fresh.DecodeFrom(re); err != nil {
+			t.Fatalf("re-encoding of an accepted input rejected: %v\ninput %x\nre-encoded %x", err, enc, re)
+		}
+		var re2 []byte
+		fresh.EncodeTo(&re2)
+		if !bytes.Equal(re, re2) {
+			t.Fatalf("decode∘encode not stable:\n%x\n%x", re, re2)
+		}
+	})
 }
