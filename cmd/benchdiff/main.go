@@ -37,6 +37,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/benchsuite"
 	"repro/internal/obsv/manifest"
 )
 
@@ -49,17 +50,6 @@ type point struct {
 	// HasAllocs distinguishes a measured 0 allocs/op from a row (e.g. a
 	// search manifest entry) that never measured allocations.
 	HasAllocs bool
-}
-
-// benchFile mirrors cmd/benchjson's output document.
-type benchFile struct {
-	Entries []struct {
-		Name         string `json:"name"`
-		NsPerOp      int64  `json:"ns_per_op"`
-		AllocsPerOp  int64  `json:"allocs_per_op"`
-		States       int    `json:"states"`
-		StatesPerSec int64  `json:"states_per_sec"`
-	} `json:"benchmarks"`
 }
 
 // loadPoints reads one comparison side: a benchjson file, a single run
@@ -95,9 +85,8 @@ func loadPoints(path string) (map[string]point, error) {
 	if err != nil {
 		return nil, err
 	}
-	var bf benchFile
-	if err := json.Unmarshal(raw, &bf); err == nil && len(bf.Entries) > 0 {
-		for _, e := range bf.Entries {
+	if rep, err := benchsuite.Parse(raw); err == nil && len(rep.Rows) > 0 {
+		for _, e := range rep.Rows {
 			points[e.Name] = point{
 				StatesPerSec: e.StatesPerSec,
 				AllocsPerOp:  e.AllocsPerOp,

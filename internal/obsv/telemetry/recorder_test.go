@@ -100,25 +100,28 @@ func TestRecorderVerdict(t *testing.T) {
 	}
 }
 
+// deadlockedRecorder is a 2x2-mesh recorder holding two telemetry
+// frames (the second left partial, so Dump must flush it) and a
+// two-message wait cycle.
+func deadlockedRecorder() *FlightRecorder {
+	g := topology.NewMesh([]int{2, 2}, 1)
+	c := NewCollector(g.Network.NumChannels(), Config{Stride: 2, FrameEvery: 2})
+	fillSample(c, 0, []int{0, 1}, []int{2}, 3, 2)
+	fillSample(c, 2, []int{0}, []int{2}, 6, 2)
+	fillSample(c, 4, []int{0}, nil, 9, 1)
+	r := NewFlightRecorder(g.Network, 8, c)
+	waitAdd(r, 3, 0, 1, 1)
+	waitAdd(r, 3, 1, 2, 0)
+	r.Event(obsv.Event{Kind: obsv.KindDeadlock, Cycle: 4, N: 2})
+	return r
+}
+
 // TestRecorderDumpBundle: Dump writes the full three-artifact bundle,
 // deterministic across two identical recorders, with the hottest channel
 // outlined and cycle channels red in the heatmap.
 func TestRecorderDumpBundle(t *testing.T) {
-	build := func() *FlightRecorder {
-		g := topology.NewMesh([]int{2, 2}, 1)
-		c := NewCollector(g.Network.NumChannels(), Config{Stride: 2, FrameEvery: 2})
-		fillSample(c, 0, []int{0, 1}, []int{2}, 3, 2)
-		fillSample(c, 2, []int{0}, []int{2}, 6, 2)
-		fillSample(c, 4, []int{0}, nil, 9, 1) // left partial: Dump must flush it
-		r := NewFlightRecorder(g.Network, 8, c)
-		waitAdd(r, 3, 0, 1, 1)
-		waitAdd(r, 3, 1, 2, 0)
-		r.Event(obsv.Event{Kind: obsv.KindDeadlock, Cycle: 4, N: 2})
-		return r
-	}
-
 	dir := t.TempDir()
-	r := build()
+	r := deadlockedRecorder()
 	if err := r.Dump(dir, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +162,7 @@ func TestRecorderDumpBundle(t *testing.T) {
 
 	// Byte determinism of the whole bundle.
 	dir2 := t.TempDir()
-	if err := build().Dump(dir2, ""); err != nil {
+	if err := deadlockedRecorder().Dump(dir2, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"flight.jsonl", "waitfor.dot", "heatmap.svg"} {

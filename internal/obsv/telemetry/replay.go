@@ -105,11 +105,19 @@ func ParseBundle(r io.Reader) (*Bundle, error) {
 			if err := json.Unmarshal(line, &v); err != nil {
 				return nil, fmt.Errorf("telemetry: channel line: %w", err)
 			}
+			// Frames and the wait graph are sized by the channel count, so
+			// it is fixed once, before either.
+			if b.Channels != nil || b.Graph != nil || len(b.Frames) > 0 {
+				return nil, fmt.Errorf("telemetry: channel line must come once, before waitgraph and frame lines")
+			}
 			b.Channels = v.Channels
 		case bytes.HasPrefix(line, []byte(`{"waitgraph":`)):
 			var v bundleGraph
 			if err := json.Unmarshal(line, &v); err != nil {
 				return nil, fmt.Errorf("telemetry: waitgraph line: %w", err)
+			}
+			if err := b.checkGraph(&v); err != nil {
+				return nil, err
 			}
 			g := NewWaitGraph(len(b.Channels))
 			for _, e := range v.Edges {
@@ -168,6 +176,35 @@ func ParseBundle(r io.Reader) (*Bundle, error) {
 	return b, nil
 }
 
+// maxBundleMsg bounds the message IDs a bundle may name. The wait graph
+// is indexed by message ID, so one huge ID in a hostile bundle would
+// otherwise force a multi-gigabyte allocation; 2^22 messages is far past
+// any run the flight recorder is attached to.
+const maxBundleMsg = 1 << 22
+
+// checkGraph rejects a waitgraph line naming a message ID outside
+// [0, maxBundleMsg) or a channel outside the bundle's channel line.
+func (b *Bundle) checkGraph(v *bundleGraph) error {
+	msgs, chans := append([]int(nil), v.Seen...), []int(nil)
+	for _, e := range v.Edges {
+		msgs, chans = append(msgs, e[0], e[2]), append(chans, e[1])
+	}
+	for _, h := range v.Held {
+		msgs, chans = append(msgs, h[1]), append(chans, h[0])
+	}
+	for _, id := range msgs {
+		if id < 0 || id >= maxBundleMsg {
+			return fmt.Errorf("telemetry: waitgraph line: message ID %d out of range", id)
+		}
+	}
+	for _, ch := range chans {
+		if ch < 0 || ch >= len(b.Channels) {
+			return fmt.Errorf("telemetry: waitgraph line: channel %d outside the %d-channel network", ch, len(b.Channels))
+		}
+	}
+	return nil
+}
+
 // heat sums busy+blocked per channel over the retained frames.
 func (b *Bundle) heat() []uint64 {
 	heat := make([]uint64, len(b.Channels))
@@ -180,7 +217,7 @@ func (b *Bundle) heat() []uint64 {
 }
 
 func (b *Bundle) ends(ch int) (int, int) {
-	if ch < len(b.Channels) {
+	if ch >= 0 && ch < len(b.Channels) {
 		return b.Channels[ch][0], b.Channels[ch][1]
 	}
 	return -1, -1

@@ -12,33 +12,28 @@ import (
 	"testing"
 
 	"repro/internal/mcheck"
-	"repro/internal/papernets"
 )
 
 func TestReductionGuard_Gen4(t *testing.T) {
-	_, redStates := loadBaseline(t, "Gen4_Stall4_Reduced")
-	_, unredStates := loadBaseline(t, "Gen4_Stall4")
-	if redStates == 0 || unredStates == 0 {
+	c, red := baselineCase(t, "Gen4_Stall4_Reduced")
+	unred, ok := readBaseline(t).Row("Gen4_Stall4")
+	if !ok || red.States == 0 || unred.States == 0 {
 		t.Fatal("baseline rows missing state counts; regenerate BENCH_mcheck.json with cmd/benchjson")
 	}
 
-	res := mcheck.Search(papernets.GenK(4).Scenario, mcheck.SearchOptions{
-		StallBudget:         4,
-		FreezeInTransitOnly: true,
-		Reduction:           mcheck.RedAll,
-	})
-	if res.Verdict != mcheck.VerdictDeadlock {
-		t.Fatalf("verdict = %v, want deadlock", res.Verdict)
+	got, err := c.Probe(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Reduction != mcheck.RedAll {
-		t.Fatalf("reduction = %v, want %v (gating cleared it?)", res.Reduction, mcheck.RedAll)
+	if got.Reduction != mcheck.RedAll.String() {
+		t.Fatalf("reduction = %q, want %v (gating cleared it?)", got.Reduction, mcheck.RedAll)
 	}
-	if res.States != redStates {
+	if got.States != red.States {
 		t.Errorf("reduced Gen(4) explored %d states; baseline records %d — "+
 			"if the reduction intentionally changed, regenerate BENCH_mcheck.json with cmd/benchjson",
-			res.States, redStates)
+			got.States, red.States)
 	}
-	if unredStates < 3*res.States {
-		t.Errorf("reduction ratio %d/%d below the 3x floor", unredStates, res.States)
+	if unred.States < 3*got.States {
+		t.Errorf("reduction ratio %d/%d below the 3x floor", unred.States, got.States)
 	}
 }

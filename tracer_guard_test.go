@@ -7,129 +7,91 @@ package repro
 // check, so a regression here means someone hoisted work out of a guard.
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
+	"repro/internal/benchsuite"
 	"repro/internal/mcheck"
-	"repro/internal/papernets"
-	"repro/internal/sim"
 )
 
-// benchBaseline mirrors the records of BENCH_mcheck.json.
-type benchBaseline struct {
-	Benchmarks []struct {
-		Name        string `json:"name"`
-		NsPerOp     int64  `json:"ns_per_op"`
-		AllocsPerOp int64  `json:"allocs_per_op"`
-		States      int    `json:"states"`
-	} `json:"benchmarks"`
-}
-
-func loadBaseline(t *testing.T, name string) (allocs int64, states int) {
+// readBaseline reads the committed BENCH_mcheck.json.
+func readBaseline(t *testing.T) *benchsuite.Report {
 	t.Helper()
-	raw, err := os.ReadFile("BENCH_mcheck.json")
+	rep, err := benchsuite.ReadFile("BENCH_mcheck.json")
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	var doc benchBaseline
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	for _, b := range doc.Benchmarks {
-		if b.Name == name {
-			return b.AllocsPerOp, b.States
-		}
-	}
-	t.Fatalf("baseline: no record %q", name)
-	return 0, 0
+	return rep
 }
 
-// checkFastPath benchmarks fn (a search with a nil tracer) and asserts
-// it stays within 5% of the recorded allocation baseline and reproduces
-// the exact deterministic state count. Allocation counts are nearly
-// deterministic under Parallelism=1 — unlike wall time, which this guard
-// deliberately does not assert, since the recorded ns/op is
-// machine-specific.
-func checkFastPath(t *testing.T, baselineName string, wantStates int, fn func(b *testing.B) int) {
+// baselineCase returns the registry case named name and its committed
+// baseline row.
+func baselineCase(t *testing.T, name string) (benchsuite.Case, benchsuite.Row) {
 	t.Helper()
-	baseAllocs, baseStates := loadBaseline(t, baselineName)
-	if baseStates != 0 && baseStates != wantStates {
-		t.Fatalf("%s: baseline records %d states, test expects %d", baselineName, baseStates, wantStates)
+	c, ok := benchsuite.Lookup(name)
+	if !ok {
+		t.Fatalf("registry: no case %q", name)
 	}
-	gotStates := 0
+	row, ok := readBaseline(t).Row(name)
+	if !ok {
+		t.Fatalf("baseline: no record %q", name)
+	}
+	return c, row
+}
+
+// oneWorker pins a search to one worker, where allocation counts are
+// nearly deterministic.
+func oneWorker(o *mcheck.SearchOptions) { o.Parallelism = 1 }
+
+// checkFastPath benchmarks a registry search case (nil tracer, one
+// worker) and asserts it reproduces the baseline's exact deterministic
+// state count and reduction and stays within 5% of its recorded
+// allocations. Wall time is deliberately not asserted: the recorded
+// ns/op is machine-specific.
+func checkFastPath(t *testing.T, name string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("skipping benchmark-backed guard in -short mode")
+	}
+	c, base := baselineCase(t, name)
+	got, err := c.Probe(oneWorker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.States != base.States || got.Reduction != base.Reduction {
+		t.Errorf("%s: searched %d states (reduction %q), baseline records %d (%q) — determinism broken",
+			name, got.States, got.Reduction, base.States, base.Reduction)
+	}
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			gotStates = fn(b)
+			if err := c.Run(oneWorker); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
-	if gotStates != wantStates {
-		t.Errorf("%s: searched %d states, want %d (determinism broken)", baselineName, gotStates, wantStates)
+	if r.N == 0 {
+		t.Fatalf("%s: benchmark failed", name)
 	}
-	limit := baseAllocs + baseAllocs/20 // 5% slack over the recorded baseline
+	limit := base.AllocsPerOp + base.AllocsPerOp/20 // 5% slack over the recorded baseline
 	if got := r.AllocsPerOp(); got > limit {
 		t.Errorf("%s: %d allocs/op with tracing disabled; baseline %d (+5%% = %d) — an obsv emission site is allocating outside its nil-tracer guard",
-			baselineName, got, baseAllocs, limit)
+			name, got, base.AllocsPerOp, limit)
 	} else {
-		t.Logf("%s: %d allocs/op (baseline %d, limit %d), %d ns/op", baselineName, got, baseAllocs, limit, r.NsPerOp())
+		t.Logf("%s: %d allocs/op (baseline %d, limit %d), %d ns/op", name, got, base.AllocsPerOp, limit, r.NsPerOp())
 	}
 }
 
-// TestDisabledTracerFastPath_E1 runs the Theorem 1 search (Figure 1)
-// with the zero-value SearchOptions — nil Tracer, nil Metrics, nil
-// Progress — and holds it to the pre-observability allocation budget.
-func TestDisabledTracerFastPath_E1(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping benchmark-backed guard in -short mode")
-	}
-	pn := papernets.Figure1()
-	checkFastPath(t, "E1_Figure1_Search", 2996, func(b *testing.B) int {
-		res := mcheck.Search(pn.Scenario, mcheck.SearchOptions{Parallelism: 1})
-		if res.Verdict != mcheck.VerdictNoDeadlock {
-			b.Fatalf("verdict = %v", res.Verdict)
-		}
-		return res.States
-	})
-}
+// TestDisabledTracerFastPath_E1 holds the Theorem 1 search (Figure 1)
+// to the pre-observability allocation budget.
+func TestDisabledTracerFastPath_E1(t *testing.T) { checkFastPath(t, "E1_Figure1_Search") }
 
 // TestDisabledTracerFastPath_E1_Reduced holds the reduced search path to
-// the same contract: reductions on (partial-order filters, canonical
-// encoding), tracer and metrics nil — the per-state pruning and
-// canonicalization work must stay on enumerator/worker scratch, not
-// allocate per state.
+// the same contract: the per-state pruning and canonicalization work
+// must stay on enumerator/worker scratch, not allocate per state.
 func TestDisabledTracerFastPath_E1_Reduced(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping benchmark-backed guard in -short mode")
-	}
-	pn := papernets.Figure1()
-	checkFastPath(t, "E1_Figure1_Search_Reduced", 818, func(b *testing.B) int {
-		res := mcheck.Search(pn.Scenario, mcheck.SearchOptions{Parallelism: 1, Reduction: mcheck.RedAll})
-		if res.Verdict != mcheck.VerdictNoDeadlock {
-			b.Fatalf("verdict = %v", res.Verdict)
-		}
-		if res.Reduction != mcheck.RedAll {
-			b.Fatalf("reduction = %v", res.Reduction)
-		}
-		return res.States
-	})
+	checkFastPath(t, "E1_Figure1_Search_Reduced")
 }
 
 // TestDisabledTracerFastPath_E5 does the same over all six Figure 3
 // searches (the heaviest tier-1 search load).
-func TestDisabledTracerFastPath_E5(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping benchmark-backed guard in -short mode")
-	}
-	scenarios := make([]sim.Scenario, 0, 6)
-	for l := byte('a'); l <= 'f'; l++ {
-		scenarios = append(scenarios, papernets.Figure3(l).Scenario)
-	}
-	checkFastPath(t, "E5_Figure3_SearchAll", 8743, func(b *testing.B) int {
-		states := 0
-		for _, sc := range scenarios {
-			states += mcheck.Search(sc, mcheck.SearchOptions{Parallelism: 1}).States
-		}
-		return states
-	})
-}
+func TestDisabledTracerFastPath_E5(t *testing.T) { checkFastPath(t, "E5_Figure3_SearchAll") }
