@@ -7,6 +7,7 @@
 // inventory, and EXPERIMENTS.md for the paper-vs-measured record.
 //
 // The root package carries the benchmark harness (bench_test.go): one
-// benchmark per figure/table of the paper, regenerating the rows reported
+// BenchmarkSuite that runs every internal/benchsuite case as
+// Suite/<case>, the same cases cmd/benchjson writes as the rows reported
 // in EXPERIMENTS.md.
 package repro

@@ -110,6 +110,9 @@ func ParseBundle(r io.Reader) (*Bundle, error) {
 			if b.Channels != nil || b.Graph != nil || len(b.Frames) > 0 {
 				return nil, fmt.Errorf("telemetry: channel line must come once, before waitgraph and frame lines")
 			}
+			if len(v.Channels) > maxBundleChannels {
+				return nil, fmt.Errorf("telemetry: channel line names %d channels (max %d)", len(v.Channels), maxBundleChannels)
+			}
 			b.Channels = v.Channels
 		case bytes.HasPrefix(line, []byte(`{"waitgraph":`)):
 			var v bundleGraph
@@ -181,6 +184,12 @@ func ParseBundle(r io.Reader) (*Bundle, error) {
 // otherwise force a multi-gigabyte allocation; 2^22 messages is far past
 // any run the flight recorder is attached to.
 const maxBundleMsg = 1 << 22
+
+// maxBundleChannels bounds the channel line. Every frame line allocates
+// three counters per channel, so a huge channel line followed by many
+// tiny frame lines would otherwise cost tens of megabytes per frame
+// line; 2^20 channels is far past any simulated network.
+const maxBundleChannels = 1 << 20
 
 // checkGraph rejects a waitgraph line naming a message ID outside
 // [0, maxBundleMsg) or a channel outside the bundle's channel line.

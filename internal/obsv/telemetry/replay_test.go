@@ -8,10 +8,12 @@ import (
 	"testing"
 )
 
-// bundlePrefix is a valid format-2 header and a two-channel line.
-const bundlePrefix = `{"flight_recorder":true,"format":2,"reason":"deadlock"}
-{"channels":[[0,1],[1,0]]}
-`
+// headerLine is a valid format-2 bundle header; bundlePrefix adds a
+// two-channel line.
+const (
+	headerLine   = `{"flight_recorder":true,"format":2,"reason":"deadlock"}` + "\n"
+	bundlePrefix = headerLine + `{"channels":[[0,1],[1,0]]}` + "\n"
+)
 
 // TestParseBundleRejectsHostileLines: IDs a recorder never writes are
 // errors, not index panics.
@@ -28,6 +30,10 @@ func TestParseBundleRejectsHostileLines(t *testing.T) {
 		if _, err := ParseBundle(strings.NewReader(bundlePrefix + line + "\n")); err == nil {
 			t.Errorf("ParseBundle accepted %s", line)
 		}
+	}
+	huge := headerLine + `{"channels":[` + strings.Repeat("[0,1],", maxBundleChannels) + "[0,1]]}\n"
+	if _, err := ParseBundle(strings.NewReader(huge)); err == nil {
+		t.Errorf("ParseBundle accepted a %d-channel line", maxBundleChannels+1)
 	}
 }
 

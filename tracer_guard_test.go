@@ -43,23 +43,31 @@ func baselineCase(t *testing.T, name string) (benchsuite.Case, benchsuite.Row) {
 func oneWorker(o *mcheck.SearchOptions) { o.Parallelism = 1 }
 
 // checkFastPath benchmarks a registry search case (nil tracer, one
-// worker) and asserts it reproduces the baseline's exact deterministic
-// state count and reduction and stays within 5% of its recorded
-// allocations. Wall time is deliberately not asserted: the recorded
-// ns/op is machine-specific.
-func checkFastPath(t *testing.T, name string) {
+// worker) and asserts it reproduces the exact deterministic state count
+// and reduction this test expects, which the baseline row must record
+// too, and stays within 5% of the row's recorded allocations. Wall time
+// is deliberately not asserted: the recorded ns/op is machine-specific.
+func checkFastPath(t *testing.T, name string, wantStates int, wantRed mcheck.Reduction) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("skipping benchmark-backed guard in -short mode")
 	}
+	want := ""
+	if wantRed != mcheck.RedNone {
+		want = wantRed.String()
+	}
 	c, base := baselineCase(t, name)
+	if base.States != wantStates || base.Reduction != want {
+		t.Fatalf("%s: baseline records %d states (reduction %q), test expects %d (%q)",
+			name, base.States, base.Reduction, wantStates, want)
+	}
 	got, err := c.Probe(oneWorker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.States != base.States || got.Reduction != base.Reduction {
-		t.Errorf("%s: searched %d states (reduction %q), baseline records %d (%q) — determinism broken",
-			name, got.States, got.Reduction, base.States, base.Reduction)
+	if got.States != wantStates || got.Reduction != want {
+		t.Errorf("%s: searched %d states (reduction %q), want %d (%q) — determinism broken",
+			name, got.States, got.Reduction, wantStates, want)
 	}
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -83,15 +91,19 @@ func checkFastPath(t *testing.T, name string) {
 
 // TestDisabledTracerFastPath_E1 holds the Theorem 1 search (Figure 1)
 // to the pre-observability allocation budget.
-func TestDisabledTracerFastPath_E1(t *testing.T) { checkFastPath(t, "E1_Figure1_Search") }
+func TestDisabledTracerFastPath_E1(t *testing.T) {
+	checkFastPath(t, "E1_Figure1_Search", 2996, mcheck.RedNone)
+}
 
 // TestDisabledTracerFastPath_E1_Reduced holds the reduced search path to
 // the same contract: the per-state pruning and canonicalization work
 // must stay on enumerator/worker scratch, not allocate per state.
 func TestDisabledTracerFastPath_E1_Reduced(t *testing.T) {
-	checkFastPath(t, "E1_Figure1_Search_Reduced")
+	checkFastPath(t, "E1_Figure1_Search_Reduced", 818, mcheck.RedAll)
 }
 
 // TestDisabledTracerFastPath_E5 does the same over all six Figure 3
 // searches (the heaviest tier-1 search load).
-func TestDisabledTracerFastPath_E5(t *testing.T) { checkFastPath(t, "E5_Figure3_SearchAll") }
+func TestDisabledTracerFastPath_E5(t *testing.T) {
+	checkFastPath(t, "E5_Figure3_SearchAll", 8743, mcheck.RedNone)
+}
