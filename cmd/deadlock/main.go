@@ -144,8 +144,8 @@ func main() {
 		v := res.Visited
 		switch v.Backend {
 		case "spill":
-			fmt.Printf("            visited %s: %s resident, %s in %d run(s) on disk (%d compactions)\n",
-				v.Backend, cli.FormatBytes(v.Bytes), cli.FormatBytes(v.SpillBytes), v.SpillRuns, v.Compactions)
+			fmt.Printf("            visited %s: %s resident, %s in %d run(s) on disk (%d compactions, %d block reads)\n",
+				v.Backend, cli.FormatBytes(v.Bytes), cli.FormatBytes(v.SpillBytes), v.SpillRuns, v.Compactions, v.SpillReads)
 		default:
 			fmt.Printf("            visited %s: %s resident, peak shard %d entries\n",
 				v.Backend, cli.FormatBytes(v.Bytes), v.PeakShardEntries)

@@ -55,7 +55,7 @@ type VisitedConfig struct {
 	// Backend selects the implementation; the zero value is VisitedMem.
 	Backend VisitedBackend
 	// MemBudget caps the spill backend's resident bytes across all shards
-	// (run files and fence indexes excluded). 0 means
+	// (run files, fence indexes and run filters excluded). 0 means
 	// DefaultVisitedMemBudget. Ignored by the mem backend.
 	MemBudget int64
 	// SpillDir is the parent directory for the spill backend's private

@@ -65,7 +65,8 @@ type VisitedStats struct {
 	// Entries is the number of distinct state encodings recorded.
 	Entries int
 	// Bytes is the store's resident memory: encodings + per-entry
-	// overhead, plus the spill fence indexes where applicable. Spilled
+	// overhead, plus the spill fence indexes and run filters where
+	// applicable. Spilled
 	// run bytes live on disk and are NOT included.
 	Bytes int64
 	// PeakShardEntries is the largest per-shard distinct-entry count (the
@@ -74,9 +75,13 @@ type VisitedStats struct {
 
 	// Spill accounting (spill backend only).
 	SpillBytes     int64 // bytes currently in on-disk run files
-	SpillRuns      int   // run files currently live
+	SpillRuns      int   // runs currently live
 	SpilledEntries int64 // entries currently residing in runs
 	Compactions    int   // run-compaction passes performed
+	// SpillReads counts the run blocks probes read from disk. It depends
+	// on when workers probe relative to spills, so unlike the counts
+	// above it can differ between worker counts.
+	SpillReads int64
 }
 
 // visitedSet is the in-memory reference backend: a sharded hash map from

@@ -1,9 +1,13 @@
 package mcheck
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -138,8 +142,35 @@ func TestSpillVisitedMatchesReference(t *testing.T) {
 		}
 	}
 
+	// Encodings never inserted are novel, and the run filters keep their
+	// probes off disk: without them each would read one block from every
+	// run of its shard.
 	var vs VisitedStats
 	st.stats(&vs)
+	readsBefore := vs.SpillReads
+	absent := rand.New(rand.NewSource(8))
+	for i := 0; i < 20000; i++ {
+		enc := make([]byte, 8+absent.Intn(32))
+		absent.Read(enc)
+		if _, seen := model[string(enc)]; seen {
+			continue
+		}
+		if !st.novel(st.hash(enc), enc, 0) {
+			t.Fatalf("never-inserted encoding %x is not novel", enc)
+		}
+	}
+	st.stats(&vs)
+	if extra := vs.SpillReads - readsBefore; extra > 2000 {
+		t.Fatalf("20k probes for absent encodings read %d run blocks, want at most 2000", extra)
+	}
+	files, err := os.ReadDir(st.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) > visitedShards {
+		t.Fatalf("%d files in the spill directory, want at most one per shard (%d)", len(files), visitedShards)
+	}
+
 	if vs.Backend != "spill" || vs.Entries != len(model) {
 		t.Fatalf("stats = %+v, want spill/%d", vs, len(model))
 	}
@@ -180,4 +211,144 @@ func TestSpillCloseRemovesFiles(t *testing.T) {
 	if len(ents) != 0 {
 		t.Fatalf("%d entries left under the spill parent", len(ents))
 	}
+}
+
+// Spill fuzz input, read two ways. As a run block it is arbitrary bytes.
+// As an entry list it is a sequence of records, each
+//
+//	digest  one byte d, expanded to d * 0x0101010101010101 so that few
+//	        distinct digests recur and equal-digest sequences cross
+//	        block boundaries
+//	budget  one byte
+//	shared  one byte: prefix length taken from the previous record's
+//	        encoding (clamped to its length)
+//	n       one byte: suffix length (clamped to the remaining input)
+//	suffix  n bytes
+//
+// A truncated trailing record keeps whatever fields it has, zeroing the
+// rest. The list is then sorted by (digest, encoding) and deduplicated,
+// as a spill writes it.
+
+// parseSpillEntries decodes a fuzz input into the sorted, distinct
+// entries of one run.
+func parseSpillEntries(data []byte) []runEntry {
+	var out []runEntry
+	var prev []byte
+	take := func(n int) []byte {
+		n = min(n, len(data))
+		b := data[:n]
+		data = data[n:]
+		return b
+	}
+	for len(data) > 0 {
+		var hdr [4]byte
+		copy(hdr[:], take(4))
+		shared := min(int(hdr[2]), len(prev))
+		enc := append(append([]byte{}, prev[:shared]...), take(int(hdr[3]))...)
+		out = append(out, runEntry{h: uint64(hdr[0]) * 0x0101010101010101, budget: int32(hdr[1]), enc: enc})
+		prev = enc
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].h != out[j].h {
+			return out[i].h < out[j].h
+		}
+		return bytes.Compare(out[i].enc, out[j].enc) < 0
+	})
+	dedup := out[:0]
+	for _, e := range out {
+		if n := len(dedup); n > 0 && dedup[n-1].h == e.h && bytes.Equal(dedup[n-1].enc, e.enc) {
+			continue
+		}
+		dedup = append(dedup, e)
+	}
+	return dedup
+}
+
+// FuzzSpillRunBlock: the run-block decoder never panics on arbitrary
+// bytes (a lookup over a corrupt block panics only with its documented
+// message), and a run written by runWriter reads back, through the
+// compaction cursor, as exactly the entries written, each of which
+// lookup finds behind a filter that admits its digest.
+func FuzzSpillRunBlock(f *testing.F) {
+	var run bytes.Buffer
+	w := newRunWriter(&run, 3)
+	for i, s := range []string{"state-a", "state-ab", "state-b"} {
+		w.add(uint64(i+1)<<8, []byte(s), int32(i))
+	}
+	w.finish(nil, 0)
+	f.Add(run.Bytes())
+	// An over-long first varint, and a suffix length of 2^63+1 that wraps
+	// negative as an int.
+	f.Add(append(bytes.Repeat([]byte{0xff}, 9), 0x02))
+	f.Add(binary.AppendUvarint([]byte{0, 0, 0}, 1<<63+1))
+	// 200 entries over 8 digests: several blocks, with equal-digest
+	// sequences crossing block boundaries.
+	rng := rand.New(rand.NewSource(1))
+	var many []byte
+	for i := 0; i < 200; i++ {
+		many = append(many, byte(rng.Intn(8)), byte(i), byte(rng.Intn(6)), 2, byte(rng.Intn(256)), byte(rng.Intn(256)))
+	}
+	f.Add(many)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var e runEntry
+		for pos := 0; pos < len(data); {
+			next, err := decodeRunEntry(data, pos, &e)
+			if err != nil {
+				break
+			}
+			if next <= pos || next > len(data) {
+				t.Fatalf("decoder moved from offset %d to %d in a %d-byte block", pos, next, len(data))
+			}
+			pos = next
+		}
+		if len(data) > 0 {
+			corrupt := &spillRun{f: bytes.NewReader(data), size: int64(len(data)), fence: []runFence{{}}}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						if msg, _ := p.(string); !strings.HasPrefix(msg, "mcheck: spill backend: corrupt run block: ") {
+							panic(p)
+						}
+					}
+				}()
+				corrupt.lookup(^uint64(0), nil, &runReader{})
+			}()
+		}
+
+		entries := parseSpillEntries(data)
+		if len(entries) == 0 {
+			return
+		}
+		var buf bytes.Buffer
+		w := newRunWriter(&buf, len(entries))
+		for _, e := range entries {
+			w.add(e.h, e.enc, e.budget)
+		}
+		r := w.finish(nil, 0) // flushes into buf
+		r.f = bytes.NewReader(buf.Bytes())
+		c := &runCursor{run: r}
+		for i, want := range entries {
+			if !c.next() {
+				t.Fatalf("cursor ended after %d of %d entries", i, len(entries))
+			}
+			if c.h != want.h || c.budget != want.budget || !bytes.Equal(c.enc, want.enc) {
+				t.Fatalf("entry %d: read (%x, %d, %q), wrote (%x, %d, %q)",
+					i, c.h, c.budget, c.enc, want.h, want.budget, want.enc)
+			}
+		}
+		if c.next() {
+			t.Fatalf("cursor read past the %d entries written", len(entries))
+		}
+		rd := &runReader{}
+		for i, e := range entries {
+			if !r.filter.mayContain(e.h) {
+				t.Fatalf("entry %d: filter rules out a digest it holds", i)
+			}
+			if b, ok := r.lookup(e.h, e.enc, rd); !ok || b != e.budget {
+				t.Fatalf("entry %d: lookup = (%d, %v), want (%d, true)", i, b, ok, e.budget)
+			}
+		}
+	})
 }

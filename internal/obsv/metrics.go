@@ -243,7 +243,7 @@ var builtinHelp = map[string]string{
 	"mcheck_visited_shard_entries":        "Visited-set entries per shard at search end.",
 	"mcheck_visited_bytes":                "Resident bytes of the visited-set backend (excludes spilled runs).",
 	"mcheck_visited_spill_bytes":          "Bytes in the spill backend's on-disk run files at search end.",
-	"mcheck_visited_spill_runs":           "Live run files of the spill backend at search end.",
+	"mcheck_visited_spill_runs":           "Live runs of the spill backend at search end.",
 	"mcheck_states_pruned":                "Successor candidates discarded by state-space reductions.",
 	"mcheck_sleep_set_hits":               "Expanded states with a non-empty sleep set.",
 	"mcheck_symmetry_group":               "Order of the symmetry group the canonical encoding quotients by.",
