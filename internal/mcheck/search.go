@@ -579,7 +579,7 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 			opts.Metrics.Gauge("mcheck_peak_visited").Set(int64(r.PeakVisited))
 			opts.Metrics.Gauge("mcheck_workers").Set(int64(r.Workers))
 			opts.Metrics.Gauge("mcheck_visited_bytes").Set(r.Visited.Bytes)
-			shardLoad := opts.Metrics.Histogram("mcheck_visited_shard_entries", nil)
+			shardLoad := opts.Metrics.Histogram("mcheck_visited_shard_entries")
 			eng.shardBuf = eng.visited.shardSizes(eng.shardBuf)
 			for _, n := range eng.shardBuf {
 				shardLoad.Observe(float64(n))

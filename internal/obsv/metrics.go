@@ -89,24 +89,25 @@ func (g *Gauge) Max(n int64) {
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram is a cumulative-bucket histogram over float64 observations.
+// Histogram is a cumulative-bucket histogram over float64 observations,
+// exposed as Prometheus `le` buckets over histogramBounds. It computes no
+// quantiles; latency percentiles come from telemetry.Sketch.
 type Histogram struct {
 	mu      sync.Mutex
-	bounds  []float64 // ascending upper bounds; +Inf implicit
-	buckets []int64   // len(bounds)+1, last is the +Inf bucket
+	buckets [len(histogramBounds) + 1]int64 // last is the +Inf bucket
 	sum     float64
 	count   int64
 }
 
-// DefaultBuckets is the power-of-two bucket ladder used when a histogram
-// is created without explicit bounds: suitable for cycle counts and sizes.
-var DefaultBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384}
+// histogramBounds is the ascending upper-bound ladder (+Inf implicit) of
+// every histogram: powers of two, suited to cycle counts and sizes.
+var histogramBounds = [...]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384}
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v)
+	i := sort.SearchFloat64s(histogramBounds[:], v)
 	h.buckets[i]++
 	h.sum += v
 	h.count++
@@ -159,22 +160,14 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given bucket
-// bounds (nil means DefaultBuckets) if needed. Bounds are fixed at
-// creation; later calls ignore the argument.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+// Histogram returns the named histogram, creating it if needed.
+func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
 		r.checkUnregistered(name, "histogram")
-		if bounds == nil {
-			bounds = DefaultBuckets
-		}
-		h = &Histogram{
-			bounds:  append([]float64(nil), bounds...),
-			buckets: make([]int64, len(bounds)+1),
-		}
+		h = &Histogram{}
 		r.histograms[name] = h
 	}
 	return h
@@ -324,11 +317,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				h := r.histograms[n]
 				h.mu.Lock()
 				cum := int64(0)
-				for i, bound := range h.bounds {
+				for i, bound := range histogramBounds {
 					cum += h.buckets[i]
 					fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", n, fmtFloat(bound), cum)
 				}
-				cum += h.buckets[len(h.bounds)]
+				cum += h.buckets[len(histogramBounds)]
 				fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, cum)
 				fmt.Fprintf(w, "%s_sum %s\n", n, fmtFloat(h.sum))
 				fmt.Fprintf(w, "%s_count %d\n", n, h.count)
@@ -363,17 +356,11 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		h.mu.Lock()
 		fmt.Fprintf(&b, "\n    %s: {\"count\": %d, \"sum\": %s, \"buckets\": {", strconv.Quote(n), h.count, fmtFloat(h.sum))
 		cum := int64(0)
-		for j, bound := range h.bounds {
+		for j, bound := range histogramBounds {
 			cum += h.buckets[j]
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%q: %d", fmtFloat(bound), cum)
+			fmt.Fprintf(&b, "%q: %d, ", fmtFloat(bound), cum)
 		}
-		if len(h.bounds) > 0 {
-			b.WriteString(", ")
-		}
-		cum += h.buckets[len(h.bounds)]
+		cum += h.buckets[len(histogramBounds)]
 		fmt.Fprintf(&b, "\"+Inf\": %d}}", cum)
 		h.mu.Unlock()
 	}
@@ -442,7 +429,7 @@ func (m *MetricsSink) Event(e Event) {
 		m.R.Counter("sim_flits_delivered_total").Inc()
 	case KindDeliver:
 		m.R.Counter("sim_messages_delivered_total").Inc()
-		m.R.Histogram("sim_message_latency_cycles", nil).Observe(float64(e.N))
+		m.R.Histogram("sim_message_latency_cycles").Observe(float64(e.N))
 	case KindAcquire:
 		m.R.Counter("sim_channel_acquires_total").Inc()
 		m.acquiredAt[e.Ch] = e.Cycle
@@ -450,7 +437,7 @@ func (m *MetricsSink) Event(e Event) {
 		if at, ok := m.acquiredAt[e.Ch]; ok {
 			delete(m.acquiredAt, e.Ch)
 			held := float64(e.Cycle - at + 1)
-			m.R.Histogram("sim_channel_occupancy_cycles", nil).Observe(held)
+			m.R.Histogram("sim_channel_occupancy_cycles").Observe(held)
 			if m.PerChannel {
 				m.R.Counter(Label("sim_channel_held_cycles_total", "channel", int(e.Ch))).Add(int64(held))
 			}
@@ -463,7 +450,7 @@ func (m *MetricsSink) Event(e Event) {
 			delete(m.blockedAt, e.Msg)
 			blocked := float64(e.Cycle - at)
 			m.R.Counter("sim_cycles_blocked_total").Add(int64(blocked))
-			m.R.Histogram("sim_blocked_duration_cycles", nil).Observe(blocked)
+			m.R.Histogram("sim_blocked_duration_cycles").Observe(blocked)
 		}
 	case KindThaw:
 		m.R.Counter("sim_freeze_expiries_total").Inc()

@@ -31,7 +31,7 @@ func TestRegistryBasics(t *testing.T) {
 		t.Errorf("gauge after Max = %d, want 11", g.Value())
 	}
 
-	h := r.Histogram("lat", []float64{1, 10})
+	h := r.Histogram("lat")
 	for _, v := range []float64{0.5, 1, 5, 100} {
 		h.Observe(v)
 	}
@@ -58,7 +58,7 @@ func TestWritePrometheus(t *testing.T) {
 	r.Counter(Label("a_by_kind_total", "kind", "fail")).Inc()
 	r.Counter(Label("a_by_kind_total", "kind", "stall")).Add(3)
 	r.Gauge("level").Set(9)
-	h := r.Histogram("lat", []float64{1, 10})
+	h := r.Histogram("lat")
 	h.Observe(0.5)
 	h.Observe(5)
 	h.Observe(50)
@@ -77,7 +77,18 @@ b_total 2
 # HELP lat lat (histogram).
 # TYPE lat histogram
 lat_bucket{le="1"} 1
-lat_bucket{le="10"} 2
+lat_bucket{le="2"} 1
+lat_bucket{le="4"} 1
+lat_bucket{le="8"} 2
+lat_bucket{le="16"} 2
+lat_bucket{le="32"} 2
+lat_bucket{le="64"} 3
+lat_bucket{le="128"} 3
+lat_bucket{le="256"} 3
+lat_bucket{le="512"} 3
+lat_bucket{le="1024"} 3
+lat_bucket{le="4096"} 3
+lat_bucket{le="16384"} 3
 lat_bucket{le="+Inf"} 3
 lat_sum 55.5
 lat_count 3
@@ -219,7 +230,7 @@ func TestRegistryRejectsLintViolations(t *testing.T) {
 	expectPanic("histogram over existing gauge", func() {
 		r := NewRegistry()
 		r.Gauge("lat")
-		r.Histogram("lat", nil)
+		r.Histogram("lat")
 	})
 }
 
@@ -228,7 +239,7 @@ func TestWriteJSONDeterministic(t *testing.T) {
 	r.Counter("z_total").Inc()
 	r.Counter("a_total").Add(2)
 	r.Gauge("g").Set(-4)
-	r.Histogram("h", []float64{2}).Observe(1)
+	r.Histogram("h").Observe(1)
 
 	var first, second strings.Builder
 	if err := r.WriteJSON(&first); err != nil {
@@ -249,7 +260,7 @@ func TestWriteJSONDeterministic(t *testing.T) {
     "g": -4
   },
   "histograms": {
-    "h": {"count": 1, "sum": 1, "buckets": {"2": 1, "+Inf": 1}}
+    "h": {"count": 1, "sum": 1, "buckets": {"1": 1, "2": 1, "4": 1, "8": 1, "16": 1, "32": 1, "64": 1, "128": 1, "256": 1, "512": 1, "1024": 1, "4096": 1, "16384": 1, "+Inf": 1}}
   }
 }
 `
@@ -301,13 +312,13 @@ func TestMetricsSinkFoldsEvents(t *testing.T) {
 	if got := r.Counter("sim_cycles_blocked_total").Value(); got != 3 {
 		t.Errorf("cycles blocked = %d, want 3 (cycle 1 to 4)", got)
 	}
-	if got := r.Histogram("sim_channel_occupancy_cycles", nil).Count(); got != 1 {
+	if got := r.Histogram("sim_channel_occupancy_cycles").Count(); got != 1 {
 		t.Errorf("occupancy observations = %d", got)
 	}
-	if got := r.Histogram("sim_channel_occupancy_cycles", nil).Sum(); got != 6 {
+	if got := r.Histogram("sim_channel_occupancy_cycles").Sum(); got != 6 {
 		t.Errorf("occupancy sum = %v, want 6 (held cycles 0-5 inclusive)", got)
 	}
-	if got := r.Histogram("sim_message_latency_cycles", nil).Sum(); got != 7 {
+	if got := r.Histogram("sim_message_latency_cycles").Sum(); got != 7 {
 		t.Errorf("latency sum = %v, want 7", got)
 	}
 	if got := r.Counter(Label("fault_injected_by_kind_total", "kind", "fail")).Value(); got != 1 {

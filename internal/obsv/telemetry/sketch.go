@@ -12,28 +12,28 @@ import (
 // raw sample list. Values at or above the linear range fall into
 // log-linear buckets — sketchSubBuckets per power of two — with a
 // worst-case relative error of 1/sketchSubBuckets, which keeps the
-// sketch fixed-size no matter how pathological the tail gets.
+// sketch bounded no matter how pathological the tail gets.
 const (
 	sketchLinearMax  = 1 << 16 // exact buckets for values 0..65535
 	sketchSubBits    = 6
 	sketchSubBuckets = 1 << sketchSubBits // log-linear buckets per octave
 	sketchMaxExp     = 62                 // values above 2^62 clamp to the top bucket
 	sketchLogBuckets = (sketchMaxExp - 16 + 1) * sketchSubBuckets
+	sketchBuckets    = sketchLinearMax + sketchLogBuckets
 )
 
-// Sketch is a fixed-size streaming histogram of non-negative integer
-// samples (latencies in cycles). Unlike the grow-forever sample slices it
-// replaces, its memory is constant — ~260 KiB regardless of how many
-// billions of samples it absorbs — so 10⁸-cycle load runs no longer
-// accumulate per-delivery state. It is mergeable (Merge adds another
+// Sketch is a bounded streaming histogram of non-negative integer
+// samples (latencies in cycles). Its bucket slice grows only to the
+// largest bucket seen: a sketch of short latencies costs a few KiB, and
+// no tail, however long the run, exceeds sketchBuckets counters. Count,
+// sum, min, max and mean are exact. It is mergeable (Merge adds another
 // sketch's buckets) and byte-deterministic: the bucket layout is pure
 // integer arithmetic, AppendJSON emits fixed-key-order output, and two
 // sketches fed the same sample sequence are identical byte for byte.
 //
-// The zero value is NOT ready to use; call NewSketch.
+// The zero value is an empty sketch ready to use.
 type Sketch struct {
-	linear []uint32 // exact counts for values < sketchLinearMax
-	logs   []uint32 // log-linear counts for the tail
+	counts []uint32 // counts[bucketIndex(v)], up to the largest bucket seen
 	count  int64
 	sum    int64
 	max    int
@@ -41,12 +41,24 @@ type Sketch struct {
 }
 
 // NewSketch returns an empty sketch.
-func NewSketch() *Sketch {
-	return &Sketch{
-		linear: make([]uint32, sketchLinearMax),
-		logs:   make([]uint32, sketchLogBuckets),
-		min:    -1,
+func NewSketch() *Sketch { return &Sketch{} }
+
+// bucketIndex maps a non-negative value to its bucket: the value itself
+// in the linear range, a log-linear bucket above it.
+func bucketIndex(v int) int {
+	if v < sketchLinearMax {
+		return v
 	}
+	return sketchLinearMax + logIndex(v)
+}
+
+// bucketValue is bucket i's representative: the exact value of a linear
+// bucket, the upper bound of a log bucket.
+func bucketValue(i int) int {
+	if i < sketchLinearMax {
+		return i
+	}
+	return logUpper(i - sketchLinearMax)
 }
 
 // logIndex maps a value >= sketchLinearMax to its log-linear bucket.
@@ -72,6 +84,18 @@ func logUpper(i int) int {
 	return int(base + uint64(sub+1)*width - 1)
 }
 
+// grow extends counts to n > len(counts) buckets. Capacity rounds up to a
+// power of two, so rising samples reallocate O(log n) times. Counters past
+// len are never written, so reslicing within capacity exposes only zeros.
+func (s *Sketch) grow(n int) {
+	if n > cap(s.counts) {
+		c := make([]uint32, len(s.counts), min(1<<bits.Len(uint(n-1)), sketchBuckets))
+		copy(c, s.counts)
+		s.counts = c
+	}
+	s.counts = s.counts[:n]
+}
+
 // Add records one sample. Negative samples are clamped to 0.
 func (s *Sketch) Add(v int) { s.AddN(v, 1) }
 
@@ -83,52 +107,47 @@ func (s *Sketch) AddN(v int, n int64) {
 	if v < 0 {
 		v = 0
 	}
-	if v < sketchLinearMax {
-		s.linear[v] += uint32(n)
-	} else {
-		s.logs[logIndex(v)] += uint32(n)
+	i := bucketIndex(v)
+	if i >= len(s.counts) {
+		s.grow(i + 1)
+	}
+	s.counts[i] += uint32(n)
+	if s.count == 0 || v < s.min {
+		s.min = v
 	}
 	s.count += n
 	s.sum += int64(v) * n
 	if v > s.max {
 		s.max = v
 	}
-	if s.min < 0 || v < s.min {
-		s.min = v
-	}
 }
 
-// Merge adds every bucket of o into s. Both sketches share the fixed
+// Merge adds every bucket of o into s. Both sketches share the bucket
 // layout, so merging is exact.
 func (s *Sketch) Merge(o *Sketch) {
 	if o == nil || o.count == 0 {
 		return
 	}
-	for i, c := range o.linear {
-		if c != 0 {
-			s.linear[i] += c
-		}
+	if len(o.counts) > len(s.counts) {
+		s.grow(len(o.counts))
 	}
-	for i, c := range o.logs {
-		if c != 0 {
-			s.logs[i] += c
-		}
+	for i, c := range o.counts {
+		s.counts[i] += c
+	}
+	if s.count == 0 || o.min < s.min {
+		s.min = o.min
 	}
 	s.count += o.count
 	s.sum += o.sum
 	if o.max > s.max {
 		s.max = o.max
 	}
-	if s.min < 0 || (o.min >= 0 && o.min < s.min) {
-		s.min = o.min
-	}
 }
 
 // Reset empties the sketch without releasing its buckets.
 func (s *Sketch) Reset() {
-	clear(s.linear)
-	clear(s.logs)
-	s.count, s.sum, s.max, s.min = 0, 0, 0, -1
+	clear(s.counts)
+	s.count, s.sum, s.max, s.min = 0, 0, 0, 0
 }
 
 // Count returns the number of recorded samples.
@@ -141,12 +160,7 @@ func (s *Sketch) Sum() int64 { return s.sum }
 func (s *Sketch) Max() int { return s.max }
 
 // Min returns the exact smallest recorded sample (0 when empty).
-func (s *Sketch) Min() int {
-	if s.min < 0 {
-		return 0
-	}
-	return s.min
-}
+func (s *Sketch) Min() int { return s.min }
 
 // Mean returns the exact arithmetic mean (0 when empty).
 func (s *Sketch) Mean() float64 {
@@ -157,10 +171,11 @@ func (s *Sketch) Mean() float64 {
 }
 
 // Quantile returns the nearest-rank p-th percentile: the smallest bucket
-// value such that at least p% of samples are <= it — the same rule the
-// raw-slice percentile helpers use, so results agree exactly whenever the
-// samples fall in the sketch's lossless linear range. Tail values report
-// their bucket's upper bound; the very last sample reports the exact max.
+// value such that at least p% of samples are <= it. It is the one
+// percentile rule in the repository, and it equals the sorted-slice rule
+// exactly whenever the samples fall in the sketch's lossless linear range.
+// Tail values report their bucket's upper bound; the very last sample
+// reports the exact max.
 func (s *Sketch) Quantile(p int) int {
 	if s.count == 0 {
 		return 0
@@ -173,28 +188,15 @@ func (s *Sketch) Quantile(p int) int {
 		rank = s.count
 	}
 	var seen int64
-	for v, c := range s.linear {
-		if c == 0 {
-			continue
-		}
-		seen += int64(c)
-		if seen >= rank {
-			return v
-		}
-	}
-	for i, c := range s.logs {
-		if c == 0 {
-			continue
-		}
+	for i, c := range s.counts {
 		seen += int64(c)
 		if seen >= rank {
 			if seen == s.count {
 				// The rank lands in the final occupied bucket; the exact
-				// max is known and is a tighter answer than the bucket
-				// bound.
+				// max is known and is never looser than the bucket bound.
 				return s.max
 			}
-			return logUpper(i)
+			return bucketValue(i)
 		}
 	}
 	return s.max
@@ -210,7 +212,7 @@ func (s *Sketch) AppendJSON(b []byte) []byte {
 	b = append(b, `,"sum":`...)
 	b = strconv.AppendInt(b, s.sum, 10)
 	b = append(b, `,"min":`...)
-	b = strconv.AppendInt(b, int64(s.Min()), 10)
+	b = strconv.AppendInt(b, int64(s.min), 10)
 	b = append(b, `,"max":`...)
 	b = strconv.AppendInt(b, int64(s.max), 10)
 	b = append(b, `,"p50":`...)
@@ -221,26 +223,19 @@ func (s *Sketch) AppendJSON(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(s.Quantile(99)), 10)
 	b = append(b, `,"buckets":[`...)
 	first := true
-	emit := func(v int, c uint32) {
+	for i, c := range s.counts {
+		if c == 0 {
+			continue
+		}
 		if !first {
 			b = append(b, ',')
 		}
 		first = false
 		b = append(b, '[')
-		b = strconv.AppendInt(b, int64(v), 10)
+		b = strconv.AppendInt(b, int64(bucketValue(i)), 10)
 		b = append(b, ',')
 		b = strconv.AppendInt(b, int64(c), 10)
 		b = append(b, ']')
-	}
-	for v, c := range s.linear {
-		if c != 0 {
-			emit(v, c)
-		}
-	}
-	for i, c := range s.logs {
-		if c != 0 {
-			emit(logUpper(i), c)
-		}
 	}
 	b = append(b, `]}`...)
 	return b

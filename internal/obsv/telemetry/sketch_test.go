@@ -296,3 +296,81 @@ func TestSketchMergeQuantileMonotonic(t *testing.T) {
 		}
 	}
 }
+
+// TestPercentileEdgeCases pins the nearest-rank rule on the boundary
+// inputs a latency sketch sees: no samples (the zero-value Sketch), one
+// sample, p0, p100, p over 100, and heavily tied samples.
+func TestPercentileEdgeCases(t *testing.T) {
+	tests := []struct {
+		name    string
+		samples []int
+		p       int
+		want    int
+	}{
+		{"empty p50", nil, 50, 0},
+		{"empty p99", []int{}, 99, 0},
+		{"single p50", []int{7}, 50, 7},
+		{"single p99", []int{7}, 99, 7},
+		{"single p0 clamps to first", []int{7}, 0, 7},
+		{"single p100", []int{7}, 100, 7},
+		{"two samples p50 is first", []int{3, 9}, 50, 3},
+		{"two samples p51 is second", []int{3, 9}, 51, 9},
+		{"all ties", []int{4, 4, 4, 4}, 95, 4},
+		{"ties at median", []int{1, 5, 5, 5, 9}, 50, 5},
+		{"ties at tail", []int{1, 2, 9, 9, 9, 9, 9, 9, 9, 9}, 99, 9},
+		{"p99 of 100 is 99th", seq(100), 99, 99},
+		{"p99 of 1000 is 990th", seq(1000), 99, 990},
+		{"p50 of 10 is 5th", seq(10), 50, 5},
+		{"p100 clamps to last", seq(10), 100, 10},
+		{"p over 100 clamps to last", seq(10), 150, 10},
+	}
+	for _, tt := range tests {
+		var s Sketch
+		for _, v := range tt.samples {
+			s.Add(v)
+		}
+		if got := s.Quantile(tt.p); got != tt.want {
+			t.Errorf("%s: Quantile(%d) over %v = %d, want %d", tt.name, tt.p, tt.samples, got, tt.want)
+		}
+		if got := sliceQuantile(tt.samples, tt.p); got != tt.want {
+			t.Errorf("%s: sliceQuantile disagrees: %d", tt.name, got)
+		}
+	}
+}
+
+// seq returns 1..n.
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i + 1
+	}
+	return s
+}
+
+// TestSketchFootprintFollowsSamples: a sketch holds buckets only up to the
+// largest value it has seen, so short latencies cost a few hundred
+// counters, not the whole linear range; a tail sample grows it to at most
+// the full layout.
+func TestSketchFootprintFollowsSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var s Sketch
+	for i := 0; i < 5000; i++ {
+		s.Add(rng.Intn(200))
+	}
+	if n := cap(s.counts); n > 256 {
+		t.Fatalf("sketch of values < 200 holds %d buckets, want <= 256", n)
+	}
+	var m Sketch
+	m.Merge(&s)
+	if n := cap(m.counts); n > 256 {
+		t.Fatalf("merge of a small sketch holds %d buckets, want <= 256", n)
+	}
+	s.Add(1 << 40)
+	if n := cap(s.counts); n > sketchBuckets {
+		t.Fatalf("sketch holds %d buckets, want <= %d", n, sketchBuckets)
+	}
+	s.Reset()
+	if s.Count() != 0 || s.Quantile(50) != 0 {
+		t.Fatal("Reset sketch is not empty")
+	}
+}

@@ -53,18 +53,17 @@ func ParseSLO(s string) ([]SLOObjective, error) {
 	return objs, nil
 }
 
-// Bank holds one latency sketch per source plus the aggregate. Source
-// sketches are allocated lazily on first observation (a sketch costs
-// ~270 KiB, so idle sources stay free); the aggregate always exists.
-// Banks merge source-wise, the same way sketches do.
+// Bank holds one latency sketch per source plus the aggregate. Each
+// sketch grows with the largest latency it has seen, so idle sources
+// cost only an empty Sketch header.
 type Bank struct {
-	agg *Sketch
-	src []*Sketch
+	agg Sketch
+	src []Sketch
 }
 
 // NewBank returns a bank for the given source-ID space.
 func NewBank(sources int) *Bank {
-	return &Bank{agg: NewSketch(), src: make([]*Sketch, sources)}
+	return &Bank{src: make([]Sketch, sources)}
 }
 
 // Observe records one latency sample for source (out-of-range sources
@@ -72,39 +71,7 @@ func NewBank(sources int) *Bank {
 func (b *Bank) Observe(source, v int) {
 	b.agg.Add(v)
 	if source >= 0 && source < len(b.src) {
-		if b.src[source] == nil {
-			b.src[source] = NewSketch()
-		}
 		b.src[source].Add(v)
-	}
-}
-
-// Aggregate returns the all-sources sketch.
-func (b *Bank) Aggregate() *Sketch { return b.agg }
-
-// Source returns source i's sketch, nil when it never observed a sample.
-func (b *Bank) Source(i int) *Sketch {
-	if i < 0 || i >= len(b.src) {
-		return nil
-	}
-	return b.src[i]
-}
-
-// Sources returns the size of the bank's source-ID space.
-func (b *Bank) Sources() int { return len(b.src) }
-
-// Merge adds another bank's sketches into this one, source-wise. The
-// banks must cover the same source-ID space.
-func (b *Bank) Merge(o *Bank) {
-	b.agg.Merge(o.agg)
-	for i, s := range o.src {
-		if s == nil {
-			continue
-		}
-		if b.src[i] == nil {
-			b.src[i] = NewSketch()
-		}
-		b.src[i].Merge(s)
 	}
 }
 
@@ -145,8 +112,9 @@ func (b *Bank) Evaluate(objs []SLOObjective) *SLOReport {
 		if !ok {
 			rep.Violations++
 		}
-		for i, s := range b.src {
-			if s == nil || s.Count() == 0 {
+		for i := range b.src {
+			s := &b.src[i]
+			if s.Count() == 0 {
 				continue
 			}
 			sq := int64(s.Quantile(o.P))

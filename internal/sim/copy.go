@@ -31,9 +31,9 @@ func (s *Sim) Reset() {
 }
 
 // CopyFrom overwrites s with a deep copy of src, reusing s's existing
-// allocations wherever capacity allows. It is Clone without the
-// allocations: a search engine keeps a pool of simulators and CopyFrom's
-// them back to a frontier state before applying the next branch. Both
+// allocations wherever capacity allows; Clone is CopyFrom into a fresh
+// Sim. A search engine keeps a pool of simulators and CopyFrom's them
+// back to a frontier state before applying the next branch. Both
 // simulators must have been created for the same network (the immutable
 // topology is shared, exactly as in Clone). Arbiters implementing
 // ArbiterCloner are deep-copied; other arbiters are shared.

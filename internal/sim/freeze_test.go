@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/topology"
@@ -74,7 +73,7 @@ func TestFreezeLastWormInDrainedNetwork(t *testing.T) {
 	}
 }
 
-// Clone and Encode must round-trip channel-fault and drop state: clones
+// Clone and EncodeTo must round-trip channel-fault and drop state: clones
 // behave identically, encodings agree, and the fault section is
 // time-relative so equal remaining outages encode equally at different
 // absolute cycles.
@@ -92,20 +91,20 @@ func TestCloneEncodeFaultState(t *testing.T) {
 	s.FailChannel(3)        // permanent
 	s.DropMessage(1)
 
-	enc := s.Encode()
-	if !strings.Contains(enc, "D") {
-		t.Fatalf("encoding %q lacks the dropped flag", enc)
-	}
-	if !strings.Contains(enc, "X3:P;") {
-		t.Fatalf("encoding %q lacks the permanent-fault section", enc)
-	}
-	if !strings.Contains(enc, "X2:10;") {
-		t.Fatalf("encoding %q lacks the transient-fault section", enc)
+	enc := encoded(s)
+	// Per message: injected, consumed, frozen, flags, len(queued), queued.
+	// Then per down channel: ID+1 and remaining outage (0 = permanent).
+	want := "\x00\x00\x00\x00\x02\x00\x00" + // message 0, untouched
+		"\x00\x00\x00\x04\x02\x00\x00" + // message 1, flag bit 2: dropped
+		"\x03\x0a" + // channel 2 down for 10 more cycles
+		"\x04\x00" // channel 3 down permanently
+	if enc != want {
+		t.Fatalf("encoding %q, want %q", enc, want)
 	}
 
 	c := s.Clone()
-	if c.Encode() != enc {
-		t.Fatalf("clone encodes differently:\n%q\n%q", c.Encode(), enc)
+	if encoded(c) != enc {
+		t.Fatalf("clone encodes differently:\n%q\n%q", encoded(c), enc)
 	}
 	// Clone independence: repairing the clone's channel must not leak back.
 	c.RepairChannel(2)
@@ -133,8 +132,8 @@ func TestCloneEncodeFaultState(t *testing.T) {
 		b.Step()
 	}
 	b.SetChannelDown(2, b.Now()+5)
-	if a.Encode() != b.Encode() {
-		t.Fatalf("equal remaining outage encodes unequally:\n%q\n%q", a.Encode(), b.Encode())
+	if encoded(a) != encoded(b) {
+		t.Fatalf("equal remaining outage encodes unequally:\n%q\n%q", encoded(a), encoded(b))
 	}
 }
 

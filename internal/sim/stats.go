@@ -1,6 +1,6 @@
 package sim
 
-import "sort"
+import "repro/internal/obsv/telemetry"
 
 // Stats aggregates delivery statistics for performance experiments.
 type Stats struct {
@@ -12,7 +12,8 @@ type Stats struct {
 	AvgLatency float64 // mean (deliveredAt - injectAt + 1) over delivered messages
 	MaxLatency int
 	// P50/P95/P99 are nearest-rank latency percentiles over delivered
-	// messages (0 when nothing was delivered).
+	// messages (0 when nothing was delivered), read from a telemetry.Sketch:
+	// exact below 2^16 cycles, log-bucketed above.
 	P50Latency int
 	P95Latency int
 	P99Latency int
@@ -33,8 +34,7 @@ func (st Stats) DeliveredFraction() float64 {
 // tail was consumed, inclusive.
 func Collect(s *Sim) Stats {
 	st := Stats{Messages: len(s.msgs), Cycles: s.now}
-	totalLatency := 0
-	var latencies []int
+	var lat telemetry.Sketch
 	for i := range s.msgs {
 		m := &s.msgs[i]
 		st.FlitsMoved += m.consumed
@@ -42,42 +42,18 @@ func Collect(s *Sim) Stats {
 		if m.dropped {
 			st.Dropped++
 		}
-		if !m.delivered() {
-			continue
-		}
-		st.Delivered++
-		lat := m.deliveredAt - m.injectedAt + 1
-		totalLatency += lat
-		latencies = append(latencies, lat)
-		if lat > st.MaxLatency {
-			st.MaxLatency = lat
+		if m.delivered() {
+			st.Delivered++
+			lat.Add(m.deliveredAt - m.injectedAt + 1)
 		}
 	}
-	if st.Delivered > 0 {
-		st.AvgLatency = float64(totalLatency) / float64(st.Delivered)
-		sort.Ints(latencies)
-		st.P50Latency = percentile(latencies, 50)
-		st.P95Latency = percentile(latencies, 95)
-		st.P99Latency = percentile(latencies, 99)
-	}
+	st.AvgLatency = lat.Mean()
+	st.MaxLatency = lat.Max()
+	st.P50Latency = lat.Quantile(50)
+	st.P95Latency = lat.Quantile(95)
+	st.P99Latency = lat.Quantile(99)
 	if s.now > 0 {
 		st.Throughput = float64(st.FlitsMoved) / float64(s.now)
 	}
 	return st
-}
-
-// percentile returns the nearest-rank p-th percentile of sorted values:
-// the smallest element such that at least p% of samples are <= it.
-func percentile(sorted []int, p int) int {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := (p*len(sorted) + 99) / 100 // ceil(p/100 * n)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }
