@@ -59,27 +59,16 @@ func searchOpts(o mcheck.SearchOptions) mcheck.SearchOptions {
 	return o
 }
 
-// search runs one experiment's exhaustive search through the shared
+// search runs one experiment's exhaustive search on the given engine
+// (mcheck.Search or mcheck.SearchLiveness) through the shared
 // observability plumbing: flag overlay, live -serve progress under the
 // experiment's name, and a -manifest run entry.
-func search(name string, sc sim.Scenario, o mcheck.SearchOptions) mcheck.SearchResult {
+func search(engine func(sim.Scenario, mcheck.SearchOptions) mcheck.SearchResult,
+	name string, sc sim.Scenario, o mcheck.SearchOptions) mcheck.SearchResult {
 	o = searchOpts(o)
 	o.Progress = obs.SearchProgress(name)
 	o.ProgressEvery = obs.ProgressInterval()
-	res := mcheck.Search(sc, o)
-	obs.PublishSearchDone(name, res)
-	run := cli.SearchRun(name, sc.Net, res)
-	run.Scenario = sc.Name
-	obs.RecordRun(run)
-	return res
-}
-
-// liveness is search's twin for the liveness engine.
-func liveness(name string, sc sim.Scenario, o mcheck.SearchOptions) mcheck.SearchResult {
-	o = searchOpts(o)
-	o.Progress = obs.SearchProgress(name)
-	o.ProgressEvery = obs.ProgressInterval()
-	res := mcheck.SearchLiveness(sc, o)
+	res := engine(sc, o)
 	obs.PublishSearchDone(name, res)
 	run := cli.SearchRun(name, sc.Net, res)
 	run.Scenario = sc.Name
@@ -144,7 +133,7 @@ func e1() {
 	fmt.Printf("     paper: oblivious (CxN->C), nonminimal, not suffix-closed -> %s\n",
 		check(props.RoutingFuncForm && !props.Minimal && !props.SuffixClosed))
 
-	res := search("e1.3 figure1", pn.Scenario, mcheck.SearchOptions{})
+	res := search(mcheck.Search, "e1.3 figure1", pn.Scenario, mcheck.SearchOptions{})
 	fmt.Printf("E1.3 exhaustive search (all injection timings + arbitrations): %s over %d states (%.0f states/sec, peak visited %d, %d worker(s))\n",
 		res.Verdict, res.States, res.StatesPerSec, res.PeakVisited, res.Workers)
 	fmt.Printf("     paper Theorem 1: deadlock-free          -> %s\n",
@@ -155,7 +144,7 @@ func e1() {
 	fmt.Printf("     paper Theorem 1                        -> %s\n",
 		check(rep.Verdict == core.DeadlockFree))
 
-	skew := search("e1.5 figure1 skew1", pn.Scenario, mcheck.SearchOptions{StallBudget: 1, FreezeInTransitOnly: true})
+	skew := search(mcheck.Search, "e1.5 figure1 skew1", pn.Scenario, mcheck.SearchOptions{StallBudget: 1, FreezeInTransitOnly: true})
 	fmt.Printf("E1.5 with 1 cycle of router skew: %s\n", skew.Verdict)
 	fmt.Printf("     paper Section 6: becomes a deadlock     -> %s\n",
 		check(skew.Verdict == mcheck.VerdictDeadlock))
@@ -163,7 +152,7 @@ func e1() {
 	if *deep {
 		sc := pn.Scenario
 		sc.Msgs = append(append([]sim.MessageSpec(nil), sc.Msgs...), sc.Msgs[0], sc.Msgs[2])
-		multi := search("e1.6 figure1 multi", sc, mcheck.SearchOptions{MaxStates: 50_000_000})
+		multi := search(mcheck.Search, "e1.6 figure1 multi", sc, mcheck.SearchOptions{MaxStates: 50_000_000})
 		fmt.Printf("E1.6 with extra copies of M1 and M3: %s over %d states\n", multi.Verdict, multi.States)
 		fmt.Printf("     paper Theorem 1 (any rate)              -> %s\n",
 			check(multi.Verdict == mcheck.VerdictNoDeadlock))
@@ -242,7 +231,7 @@ func e3() {
 // e4 — Figure 2 / Theorem 4: a channel shared by exactly two messages
 // outside the cycle always yields a reachable deadlock.
 func e4() {
-	res := search("e4.1 figure2", papernets.Figure2().Scenario, mcheck.SearchOptions{})
+	res := search(mcheck.Search, "e4.1 figure2", papernets.Figure2().Scenario, mcheck.SearchOptions{})
 	fmt.Printf("E4.1 Figure 2 search: %s over %d states -> %s\n",
 		res.Verdict, res.States, check(res.Verdict == mcheck.VerdictDeadlock))
 
@@ -318,13 +307,13 @@ func e5() {
 }
 
 func groundTruthWithCopies(sc sim.Scenario) bool {
-	if search("e5 "+sc.Name, sc, mcheck.SearchOptions{MaxStates: 20_000_000}).Verdict == mcheck.VerdictDeadlock {
+	if search(mcheck.Search, "e5 "+sc.Name, sc, mcheck.SearchOptions{MaxStates: 20_000_000}).Verdict == mcheck.VerdictDeadlock {
 		return false
 	}
 	for pos := range sc.Msgs {
 		out := sc
 		out.Msgs = append(append([]sim.MessageSpec(nil), sc.Msgs...), sc.Msgs[pos])
-		if search(fmt.Sprintf("e5 %s copy%d", sc.Name, pos), out, mcheck.SearchOptions{MaxStates: 20_000_000}).Verdict == mcheck.VerdictDeadlock {
+		if search(mcheck.Search, fmt.Sprintf("e5 %s copy%d", sc.Name, pos), out, mcheck.SearchOptions{MaxStates: 20_000_000}).Verdict == mcheck.VerdictDeadlock {
 			return false
 		}
 	}
@@ -344,7 +333,7 @@ func e6() {
 		pn := papernets.GenK(k)
 		minimal := -1
 		for b := 0; b <= k+2; b++ {
-			res := search(fmt.Sprintf("e6 gen%d stall%d", k, b), pn.Scenario, mcheck.SearchOptions{
+			res := search(mcheck.Search, fmt.Sprintf("e6 gen%d stall%d", k, b), pn.Scenario, mcheck.SearchOptions{
 				StallBudget: b, FreezeInTransitOnly: true, MaxStates: 50_000_000,
 			})
 			if res.Verdict == mcheck.VerdictDeadlock {
@@ -455,7 +444,7 @@ func e8() {
 		insts = append(insts, inst{"duato escape protocol (2 VC) ", duSc, mcheck.VerdictNoDeadlock})
 	}
 	for _, in := range insts {
-		res := search("e8.2 "+strings.TrimSpace(in.name), in.sc, mcheck.SearchOptions{MaxStates: 50_000_000})
+		res := search(mcheck.Search, "e8.2 "+strings.TrimSpace(in.name), in.sc, mcheck.SearchOptions{MaxStates: 50_000_000})
 		fmt.Printf("E8.2 %s exhaustive: %s over %d states (%.0f states/sec) -> %s\n",
 			in.name, res.Verdict, res.States, res.StatesPerSec, check(res.Verdict == in.want))
 	}
@@ -473,7 +462,7 @@ func e9() {
 	// Local deadlock: ring A's 4-cycle kills channels 0..3 forever while
 	// ring B's message still delivers.
 	sc := papernets.LocalRings()
-	res := liveness("e9.1 localrings", sc, mcheck.SearchOptions{})
+	res := search(mcheck.SearchLiveness, "e9.1 localrings", sc, mcheck.SearchOptions{})
 	ok := res.Verdict == mcheck.VerdictLocalDeadlock && res.Local != nil &&
 		fmt.Sprint(res.Local.Blocked) == "[0 1 2 3]"
 	if ok {
@@ -487,11 +476,11 @@ func e9() {
 	// Livelock: deadlock-free under the plain engine, a replayable lasso
 	// under the stale-selection adversary.
 	lsc := papernets.StaleSelection()
-	plain := search("e9.2 staleselection plain", lsc, mcheck.SearchOptions{})
+	plain := search(mcheck.Search, "e9.2 staleselection plain", lsc, mcheck.SearchOptions{})
 	fmt.Printf("E9.2 stale selection, plain engine: %s over %d states -> %s\n",
 		plain.Verdict, plain.States, check(plain.Verdict == mcheck.VerdictNoDeadlock))
 
-	liv := liveness("e9.3 staleselection liveness", lsc, mcheck.SearchOptions{})
+	liv := search(mcheck.SearchLiveness, "e9.3 staleselection liveness", lsc, mcheck.SearchOptions{})
 	lok := liv.Verdict == mcheck.VerdictLivelock && liv.Lasso != nil &&
 		mcheck.VerifyLasso(lsc, liv.Lasso) == nil
 	if lok {

@@ -107,11 +107,11 @@ func TestVisitedBackendReported(t *testing.T) {
 	}
 }
 
-// TestLivenessBackendParity: the DFS liveness engine shares the visited
+// TestLivenessBackendParity: the liveness search shares the visited
 // layer; on every parity scenario each backend must reproduce the mem
 // backend's verdict, state count and retained encodings. The stores keep
 // the bytes insert is given, so the one-byte spill budget pins that
-// liveness hands them owned copies. CI runs it under -race.
+// the engine hands them owned copies. CI runs it under -race.
 func TestLivenessBackendParity(t *testing.T) {
 	for _, tc := range parityCases() {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,16 +3,14 @@ package mcheck
 import (
 	"bytes"
 	"fmt"
-	"time"
 
-	"repro/internal/obsv"
 	"repro/internal/sim"
-	"repro/internal/waitfor"
 )
 
-// SearchLiveness is the liveness companion to Search: a depth-first
-// exploration of the same adversarial transition system that decides three
-// finer-grained properties than reachable global deadlock.
+// SearchLiveness is the liveness companion to Search: the same parallel,
+// deterministic breadth-first engine over the same adversarial transition
+// system, deciding three finer-grained properties than reachable global
+// deadlock.
 //
 //   - Local deadlock: a reachable state contains a permanent Definition 6
 //     cycle (every member an in-network oblivious message) while traffic
@@ -22,16 +20,15 @@ import (
 //     stays VerdictDeadlock — the whole network is dead.
 //
 //   - Livelock/starvation: a reachable cycle in the state graph along
-//     which some in-flight message never advances. Detected by lasso
-//     search — a nested DFS degenerated by a structural fact: every
-//     encoded per-message quantity (injection, flit positions,
-//     consumption, materialized route) is monotone under the step
-//     relation, so a loop can never contain a transition that moves any
-//     flit, and every lasso loop collapses to a single repeated state.
-//     The search therefore detects lassos as back edges to a state still
-//     on the DFS stack at an unchanged stall budget (a budget-spending
-//     freeze could never close a loop either). Reported as
-//     VerdictLivelock with a replayable stem+loop witness.
+//     which some in-flight message never advances. Every encoded
+//     per-message quantity (injection, flit positions, consumption,
+//     materialized route) is monotone under the step relation, so a loop
+//     can never contain a transition that moves any flit, and a loop
+//     cannot spend stall budget either: every lasso loop collapses to a
+//     single state that some budget-free decision maps onto itself. The
+//     search therefore checks each expanded state for such a self-loop.
+//     Reported as VerdictLivelock with a replayable stem+loop witness;
+//     breadth-first order makes the stem a shortest one.
 //
 // The plain enumeration cannot express a livelock at all: every decision
 // it produces either moves a flit or spends budget. SearchLiveness
@@ -42,212 +39,14 @@ import (
 // oblivious scenarios maskAll adds nothing and the explored space is
 // identical to Search's, which is what the liveness parity tests pin down.
 //
-// The search is sequential (Workers is reported as 1) and ignores
-// reductions: partial-order and symmetry reduction preserve reachable
-// deadlocks, not the cycle structure a lasso search depends on. A
-// requested reduction is cleared and surfaced as a result warning.
+// Like Search, the result is identical for every Parallelism value and
+// visited backend, and Workers reports the worker count that ran. The
+// search ignores reductions: partial-order and symmetry reduction
+// preserve reachable deadlocks, not the cycle structure a lasso search
+// depends on. A requested reduction is cleared and surfaced as a result
+// warning.
 func SearchLiveness(sc sim.Scenario, opts SearchOptions) SearchResult {
-	start := time.Now()
-	requireSearchableArbiter(sc.Cfg.Arbiter)
-	opts = normalizeSearchOptions(sc, opts)
-	var warnings []string
-	if opts.Reduction != RedNone {
-		warnings = append(warnings, fmt.Sprintf(
-			"liveness search ignores reductions (%v requested): they preserve reachable deadlocks, not state-graph cycles", opts.Reduction))
-		opts.Reduction = RedNone
-	}
-	cfg := enumConfig{inTransitOnly: opts.FreezeInTransitOnly, maskAll: true}
-
-	root := newHeldSim(sc)
-	// Unlike Search's encoded frontier, the DFS carries its stack as live
-	// simulators, recycled through a free list; the visited backend
-	// (including spill) is shared with Search.
-	eng := newEngine(opts, cfg, nil, root, 1)
-	defer eng.visited.close()
-	w := eng.workers[0]
-	var free []*sim.Sim
-	getSim := func(src *sim.Sim) *sim.Sim {
-		if n := len(free); n > 0 {
-			s := free[n-1]
-			free = free[:n-1]
-			s.CopyFrom(src)
-			return s
-		}
-		return src.Clone()
-	}
-	putSim := func(s *sim.Sim) { free = append(free, s) }
-
-	// The visited store keeps the slice insert is given, so every insert
-	// passes an owned copy, never encBuf itself.
-	var encBuf []byte
-	root.EncodeTo(&encBuf)
-	eng.visited.insert(eng.visited.hash(encBuf), bytes.Clone(encBuf), opts.StallBudget)
-
-	nodes := []provNode{{parent: -1, dec: -1}}
-	states := 1
-
-	finish := func(r SearchResult) SearchResult {
-		r.Elapsed = time.Since(start)
-		if secs := r.Elapsed.Seconds(); secs > 0 {
-			r.StatesPerSec = float64(r.States) / secs
-		}
-		eng.visited.stats(&r.Visited)
-		r.PeakVisited = r.Visited.Entries
-		r.Workers = 1
-		r.Reduction = RedNone
-		r.SymmetryGroup = 1
-		r.Warnings = warnings
-		if opts.Tracer != nil {
-			ev := obsv.Ev(obsv.KindSearchDone, 0)
-			ev.N = r.States
-			ev.Note = r.Verdict.String()
-			opts.Tracer.Event(ev)
-		}
-		if opts.Metrics != nil {
-			opts.Metrics.Gauge("mcheck_states").Set(int64(r.States))
-			opts.Metrics.Gauge("mcheck_peak_visited").Set(int64(r.PeakVisited))
-			opts.Metrics.Gauge("mcheck_workers").Set(int64(r.Workers))
-			opts.Metrics.Gauge("mcheck_visited_bytes").Set(r.Visited.Bytes)
-		}
-		return r
-	}
-
-	// livFrame is one state on the DFS stack with its materialized
-	// successor decisions. Frame i sits i decisions away from the root, so
-	// provenance-rebuilt traces and stack indices line up directly.
-	type livFrame struct {
-		s      *sim.Sim
-		budget int
-		node   int32
-		key    string
-		decs   []Decision
-		next   int
-	}
-
-	materialize := func(s *sim.Sim, budget int) []Decision {
-		var decs []Decision
-		w.enum.forEach(s, budget, cfg, nil, func(d *Decision) bool {
-			decs = append(decs, copyDecision(d))
-			return true
-		})
-		return decs
-	}
-
-	if root.AllDelivered() {
-		return finish(SearchResult{Verdict: VerdictNoDeadlock, States: states})
-	}
-	frames := []livFrame{{s: root, budget: opts.StallBudget, node: 0,
-		key: string(encBuf), decs: materialize(root, opts.StallBudget)}}
-	onStack := map[string]int{frames[0].key: 0}
-
-	lastProgress := start
-	emitProgress := func() {
-		if opts.Progress == nil {
-			return
-		}
-		if now := time.Now(); now.Sub(lastProgress) >= opts.ProgressEvery {
-			lastProgress = now
-			elapsed := now.Sub(start)
-			sps := 0.0
-			if secs := elapsed.Seconds(); secs > 0 {
-				sps = float64(states) / secs
-			}
-			opts.Progress(ProgressInfo{Level: len(frames), Frontier: len(frames),
-				States: states, Elapsed: elapsed, StatesPerSec: sps})
-		}
-	}
-
-	for len(frames) > 0 {
-		f := &frames[len(frames)-1]
-		if f.next >= len(f.decs) {
-			delete(onStack, f.key)
-			putSim(f.s)
-			frames = frames[:len(frames)-1]
-			continue
-		}
-		d := f.decs[f.next]
-		ord := int32(f.next)
-		f.next++
-
-		succ := getSim(f.s)
-		apply(succ, d)
-		succ.StepWithPicks(d.Picks)
-		newBudget := f.budget - len(d.Freeze)
-		encBuf = encBuf[:0]
-		succ.EncodeTo(&encBuf)
-
-		// Lasso check: a successor already on the DFS stack at the same
-		// budget closes a cycle of states. By monotonicity no flit moved
-		// anywhere along it, so the in-network messages of the loop head
-		// — shared by every loop state — are starved. A closure with no
-		// in-network message is the adversary idling an empty network:
-		// harmless, skip it.
-		if fi, ok := onStack[string(encBuf)]; ok && frames[fi].budget == newBudget {
-			starved := starvedIDs(succ)
-			if len(starved) > 0 {
-				trace := rebuildTrace(sc, nodes, f.node, opts, cfg)
-				lasso := &Lasso{
-					Stem:    append([]Decision(nil), trace[:fi]...),
-					Loop:    append(append([]Decision(nil), trace[fi:]...), d),
-					Starved: starved,
-				}
-				return finish(SearchResult{
-					Verdict: VerdictLivelock,
-					States:  states,
-					Trace:   append(trace, d),
-					Lasso:   lasso,
-				})
-			}
-			putSim(succ)
-			continue
-		}
-
-		h := eng.visited.hash(encBuf)
-		if !eng.visited.insert(h, bytes.Clone(encBuf), newBudget) {
-			// Already explored at this budget or better. A cycle through a
-			// completed state would have been found when that state was on
-			// the stack: loops spend no budget, so every loop decision was
-			// already available at the recorded (≥) budget.
-			putSim(succ)
-			continue
-		}
-		states++
-		if states > opts.MaxStates {
-			return finish(SearchResult{Verdict: VerdictExhausted, States: states})
-		}
-		nodes = append(nodes, provNode{parent: f.node, dec: ord})
-		node := int32(len(nodes) - 1)
-
-		if succ.AllDelivered() {
-			putSim(succ)
-			continue
-		}
-		if ld := waitfor.FindLocal(succ); ld != nil {
-			trace := rebuildTrace(sc, nodes, node, opts, cfg)
-			r := SearchResult{States: states, Trace: trace, Deadlock: &ld.Deadlock}
-			if len(ld.Live) > 0 {
-				r.Verdict = VerdictLocalDeadlock
-				r.Local = ld
-			} else {
-				// The cycle is permanent and nothing outside it can ever
-				// be delivered: the deadlock is global.
-				r.Verdict = VerdictDeadlock
-			}
-			return finish(r)
-		}
-		if w.deadlocked(succ) {
-			trace := rebuildTrace(sc, nodes, node, opts, cfg)
-			r := SearchResult{Verdict: VerdictDeadlock, States: states,
-				Trace: trace, Deadlock: waitfor.Find(succ)}
-			return finish(r)
-		}
-
-		frames = append(frames, livFrame{s: succ, budget: newBudget, node: node,
-			key: string(encBuf), decs: materialize(succ, newBudget)})
-		onStack[frames[len(frames)-1].key] = len(frames) - 1
-		emitProgress()
-	}
-	return finish(SearchResult{Verdict: VerdictNoDeadlock, States: states})
+	return search(sc, opts, true)
 }
 
 // starvedIDs lists the in-network, undelivered messages of a state — the

@@ -3,6 +3,7 @@ package mcheck
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/papernets"
@@ -155,8 +156,8 @@ func TestLivenessParity(t *testing.T) {
 	}
 }
 
-// TestLivenessExhausted: the state cap applies to the DFS exactly as it
-// does to the BFS.
+// TestLivenessExhausted: the state cap applies to the liveness search
+// exactly as it does to the plain one.
 func TestLivenessExhausted(t *testing.T) {
 	res := SearchLiveness(papernets.Figure1().Scenario, SearchOptions{MaxStates: 3})
 	if res.Verdict != VerdictExhausted {
@@ -176,5 +177,64 @@ func TestLivenessIgnoresReductions(t *testing.T) {
 	}
 	if res.Verdict != VerdictDeadlock {
 		t.Fatalf("verdict = %v; want deadlock", res.Verdict)
+	}
+}
+
+// TestLivenessLassoIsShortest pins the stale-selection witness: the
+// breadth-first search reports the lasso with the shortest stem, two
+// decisions to the loop head, and a one-decision self-loop.
+func TestLivenessLassoIsShortest(t *testing.T) {
+	res := SearchLiveness(papernets.StaleSelection(), SearchOptions{})
+	if res.Lasso == nil {
+		t.Fatalf("verdict = %v; want a livelock lasso", res.Verdict)
+	}
+	if len(res.Lasso.Stem) != 2 || len(res.Lasso.Loop) != 1 {
+		t.Fatalf("lasso stem %d / loop %d; want stem 2 / loop 1", len(res.Lasso.Stem), len(res.Lasso.Loop))
+	}
+}
+
+// TestLivenessWorkerParity: the liveness search runs on the parallel
+// engine, so one, two and three workers must agree on the verdict, state
+// count and every witness — trace, local deadlock and lasso — for the
+// local-deadlock and livelock scenarios and every parity case (ring4 is
+// the global-deadlock one). CI runs it under -race.
+func TestLivenessWorkerParity(t *testing.T) {
+	cases := []parityCase{
+		{name: "localrings", sc: papernets.LocalRings()},
+		{name: "staleselection", sc: papernets.StaleSelection()},
+	}
+	cases = append(cases, parityCases()...)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.heavy && testing.Short() {
+				t.Skip("heavy parity case; run without -short")
+			}
+			var ref SearchResult
+			for _, workers := range []int{1, 2, 3} {
+				opts := tc.opts
+				opts.Parallelism = workers
+				res := SearchLiveness(tc.sc, opts)
+				if res.Workers != workers {
+					t.Errorf("workers=%d: result reports %d workers", workers, res.Workers)
+				}
+				if workers == 1 {
+					ref = res
+					continue
+				}
+				if res.Verdict != ref.Verdict || res.States != ref.States {
+					t.Fatalf("workers=%d: (%v, %d states) != one worker (%v, %d states)",
+						workers, res.Verdict, res.States, ref.Verdict, ref.States)
+				}
+				if !reflect.DeepEqual(res.Trace, ref.Trace) {
+					t.Fatalf("workers=%d: witness trace differs from one worker", workers)
+				}
+				if !reflect.DeepEqual(res.Local, ref.Local) {
+					t.Fatalf("workers=%d: local witness %v != one worker %v", workers, res.Local, ref.Local)
+				}
+				if !reflect.DeepEqual(res.Lasso, ref.Lasso) {
+					t.Fatalf("workers=%d: lasso %+v != one worker %+v", workers, res.Lasso, ref.Lasso)
+				}
+			}
+		})
 	}
 }

@@ -31,7 +31,9 @@
 // happens in a single-threaded merge that processes the level in the
 // same order a sequential FIFO queue would.
 // Verdicts, state counts and witness traces are therefore byte-identical
-// across any worker count, including 1.
+// across any worker count, including 1. SearchLiveness runs the same
+// engine with the liveness checks on (liveness.go), under the same
+// contract.
 package mcheck
 
 import (
@@ -266,11 +268,14 @@ func (su *succState) raw() []byte {
 }
 
 // expandResult is everything the merge needs to know about one frontier
-// entry: whether it terminated (delivered / deadlocked), else its novel
-// successors in canonical decision order.
+// entry: whether it terminated (delivered / deadlocked, and in liveness
+// mode locally deadlocked or looping), else its novel successors in
+// canonical decision order.
 type expandResult struct {
 	delivered  bool
 	deadlocked bool
+	local      bool  // liveness: the state holds a permanent Definition 6 cycle
+	loop       int32 // liveness: ordinal of a starving self-loop decision, -1 if none
 	succs      []succState
 }
 
@@ -331,16 +336,22 @@ func (eng *engine) fillVisited(p *ProgressInfo) {
 	p.SpillBytes = eng.vstats.SpillBytes
 }
 
-// expand computes the fate of the frontier state decoded into w.cur. It
-// runs concurrently with other expands but touches only worker-local
-// scratch and lock-shared visited reads, so it is safe and — because the
-// visited set is frozen during expansion (insertions happen only in the
-// merge) — its result is independent of scheduling.
-func (w *searchWorker) expand(budget int) expandResult {
-	var r expandResult
+// expand computes the fate of the frontier state decoded into w.cur from
+// its batch bytes enc. It runs concurrently with other expands but
+// touches only worker-local scratch and lock-shared visited reads, so it
+// is safe and — because the visited set is frozen during expansion
+// (insertions happen only in the merge) — its result is independent of
+// scheduling.
+func (w *searchWorker) expand(enc []byte, budget int) expandResult {
+	r := expandResult{loop: -1}
 	cur, next := w.cur, w.next
+	liveness := w.eng.cfg.maskAll
 	if cur.AllDelivered() {
 		r.delivered = true
+		return r
+	}
+	if liveness && waitfor.FindLocal(cur) != nil {
+		r.local = true
 		return r
 	}
 	if w.deadlocked(cur) {
@@ -376,6 +387,15 @@ func (w *searchWorker) expand(budget int) expandResult {
 			next.CanonicalEncodeTo(w.eng.perms, &w.encBuf, &w.canonBuf)
 		} else {
 			next.EncodeTo(&w.encBuf)
+		}
+		// Lasso check (liveness): every encoded quantity is monotone and a
+		// loop spends no budget, so every state-graph loop is a self-loop.
+		// One that holds an in-network message starves it; one over an
+		// empty network is the adversary idling, and the pre-filter below
+		// drops it like any visited state.
+		if liveness && len(d.Freeze) == 0 && bytes.Equal(w.encBuf, enc) && anyInNetwork(cur) {
+			r.loop = dec
+			return false
 		}
 		h := w.eng.visited.hash(w.encBuf)
 		// Pre-filter against states accepted in previous levels. Visited
@@ -422,7 +442,7 @@ func (eng *engine) expandBatch(batch *frontierBatch, results []expandResult) {
 			if err := w.cur.DecodeFrom(it.cur); err != nil {
 				panic(fmt.Sprintf("mcheck: internal error: frontier entry does not decode: %v", err))
 			}
-			results[it.idx-1] = w.expand(it.budget)
+			results[it.idx-1] = w.expand(it.cur, it.budget)
 		}
 	}
 	nw := min(len(eng.workers), batch.blocks())
@@ -458,18 +478,21 @@ func (eng *engine) expandBatch(batch *frontierBatch, results []expandResult) {
 // Movement possibility is arbitration-independent, so stepping a scratch
 // copy once decides it exactly.
 func (w *searchWorker) deadlocked(s *sim.Sim) bool {
-	inNetwork := false
-	for id := 0; id < s.NumMessages(); id++ {
-		if !s.Delivered(id) && s.InNetwork(id) {
-			inNetwork = true
-			break
-		}
-	}
-	if !inNetwork {
+	if !anyInNetwork(s) {
 		return false
 	}
 	w.probe.CopyFrom(s)
 	return !w.probe.Step().Moved
+}
+
+// anyInNetwork reports whether some message has flits in the network.
+func anyInNetwork(s *sim.Sim) bool {
+	for id := 0; id < s.NumMessages(); id++ {
+		if s.InNetwork(id) {
+			return true
+		}
+	}
+	return false
 }
 
 // requireSearchableArbiter rejects arbiters that may carry hidden
@@ -491,12 +514,25 @@ func requireSearchableArbiter(a sim.Arbiter) {
 // scenario's InjectAt fields are ignored: injection timing is part of the
 // adversary's choice, which strictly generalizes any fixed schedule.
 func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
+	return search(sc, opts, false)
+}
+
+// search is the one engine behind Search and SearchLiveness. Liveness
+// mode widens the enumeration with maskAll, clears reductions, and adds
+// the local-deadlock and self-loop checks to every expansion.
+func search(sc sim.Scenario, opts SearchOptions, liveness bool) SearchResult {
 	start := time.Now()
 	requireSearchableArbiter(sc.Cfg.Arbiter)
 	opts = normalizeSearchOptions(sc, opts)
 	maxStates := opts.MaxStates
 	workers := opts.Parallelism
 
+	var warnings []string
+	if liveness && opts.Reduction != RedNone {
+		warnings = append(warnings, fmt.Sprintf(
+			"liveness search ignores reductions (%v requested): they preserve reachable deadlocks, not state-graph cycles", opts.Reduction))
+		opts.Reduction = RedNone
+	}
 	// Derive the scenario's symmetries once per search; with none usable
 	// the symmetry bit is cleared so the result reports what ran.
 	var perms []sim.Permutation
@@ -506,7 +542,7 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 			opts.Reduction &^= RedSymmetry
 		}
 	}
-	cfg := enumConfig{inTransitOnly: opts.FreezeInTransitOnly, por: opts.Reduction.POR()}
+	cfg := enumConfig{inTransitOnly: opts.FreezeInTransitOnly, por: opts.Reduction.POR(), maskAll: liveness}
 
 	root := newHeldSim(sc)
 	eng := newEngine(opts, cfg, perms, root, workers)
@@ -530,7 +566,6 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 	// emitProgress shields the search from the caller's Progress callback:
 	// a panic there is contained, surfaced as a result warning, and
 	// disables further reporting — it never corrupts the verdict.
-	var warnings []string
 	progressBroken := false
 	emitProgress := func(p ProgressInfo) {
 		if opts.Progress == nil || progressBroken {
@@ -671,18 +706,35 @@ func Search(sc sim.Scenario, opts SearchOptions) SearchResult {
 			if res.delivered {
 				continue
 			}
-			if res.deadlocked {
+			if res.deadlocked || res.local {
 				// The batch entry decodes to the deadlocked state, but its
 				// wall clock and fault anchors are relative; replay the
 				// witness trace instead so waitfor sees the state exactly
 				// as the search reached it.
 				trace := rebuildTrace(sc, nodes, it.node, opts, cfg)
-				return finish(SearchResult{
-					Verdict:  VerdictDeadlock,
-					States:   states,
-					Trace:    trace,
-					Deadlock: waitfor.Find(Replay(sc, trace)),
-				})
+				s := Replay(sc, trace)
+				if res.deadlocked {
+					return finish(SearchResult{Verdict: VerdictDeadlock, States: states,
+						Trace: trace, Deadlock: waitfor.Find(s)})
+				}
+				ld := waitfor.FindLocal(s)
+				r := SearchResult{Verdict: VerdictLocalDeadlock, States: states,
+					Trace: trace, Deadlock: &ld.Deadlock, Local: ld}
+				if len(ld.Live) == 0 {
+					// The cycle is permanent and nothing outside it can
+					// ever be delivered: the deadlock is global.
+					r.Verdict, r.Local = VerdictDeadlock, nil
+				}
+				return finish(r)
+			}
+			if res.loop >= 0 {
+				// The loop decision gets a provenance slot of its own so
+				// the witness trace ends with it; it is not a new state.
+				nodes = append(nodes, provNode{parent: it.node, dec: res.loop})
+				trace := rebuildTrace(sc, nodes, int32(len(nodes)-1), opts, cfg)
+				n := len(trace) - 1
+				return finish(SearchResult{Verdict: VerdictLivelock, States: states, Trace: trace,
+					Lasso: &Lasso{Stem: trace[:n:n], Loop: trace[n:], Starved: starvedIDs(Replay(sc, trace))}})
 			}
 			for i := range res.succs {
 				su := &res.succs[i]

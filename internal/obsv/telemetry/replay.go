@@ -143,6 +143,15 @@ func ParseBundle(r io.Reader) (*Bundle, error) {
 			}
 			b.SLO = v.SLO
 		case bytes.HasPrefix(line, []byte(`{"frame":`)):
+			// A recorder writes exactly frames_retained frame lines, each
+			// costing three counters per channel.
+			if len(b.Frames) >= b.FramesRetained {
+				return nil, fmt.Errorf("telemetry: frame line beyond the header's frames_retained %d", b.FramesRetained)
+			}
+			if b.FramesRetained > maxBundleFrameCells/max(1, len(b.Channels)) {
+				return nil, fmt.Errorf("telemetry: %d frames of %d channels exceed %d frame counter cells",
+					b.FramesRetained, len(b.Channels), maxBundleFrameCells)
+			}
 			var v bundleFrame
 			if err := json.Unmarshal(line, &v); err != nil {
 				return nil, fmt.Errorf("telemetry: frame line: %w", err)
@@ -190,6 +199,13 @@ const maxBundleMsg = 1 << 22
 // tiny frame lines would otherwise cost tens of megabytes per frame
 // line; 2^20 channels is far past any simulated network.
 const maxBundleChannels = 1 << 20
+
+// maxBundleFrameCells bounds frames_retained × channels, the per-channel
+// counter sets the frame lines allocate (12 bytes each). The largest
+// bundle the tests and CI write holds 21 frames of 8 channels (168
+// cells); 2^22 cells, 48 MiB of counters, leaves four orders of
+// magnitude of headroom.
+const maxBundleFrameCells = 1 << 22
 
 // checkGraph rejects a waitgraph line naming a message ID outside
 // [0, maxBundleMsg) or a channel outside the bundle's channel line.
